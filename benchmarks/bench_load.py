@@ -11,9 +11,9 @@ which:
 
 1. boots a :class:`~repro.service.cluster.ClusterRouter` with N engine
    worker processes over a shared checkpoint directory;
-2. drives ``--clients`` concurrent client threads (mixed JSON/binary
+2. drives ``--clients`` concurrent client threads (binary TCP and REST
    transports, mixed methods, interleaved queries) through the front
-   listener, recording per-operation wall-clock latency;
+   listeners, recording per-operation wall-clock latency;
 3. verifies every stream's final served histogram **bit-identically**
    against the serial ``summarize()`` oracle through the per-batch
    ledger (every acked batch present, in order -- zero acknowledged
@@ -38,9 +38,18 @@ import threading
 import time
 
 from repro.loadgen import LoadGenerator, verify_report
-from repro.service import ClusterRouter, ServiceClient, StreamEngine, StreamServer
+from repro.service import (
+    ClusterRouter,
+    HttpFrontend,
+    ServiceClient,
+    StreamEngine,
+    StreamServer,
+)
 
 SCHEMA = "repro-bench-load/1"
+
+#: Client transports cycled across the load clients.
+TRANSPORTS = ("binary", "rest")
 
 
 def _pick_victim(router: ClusterRouter, generator: LoadGenerator) -> str:
@@ -112,6 +121,7 @@ def run(args: argparse.Namespace) -> dict:
             "buckets": args.buckets,
             "universe": args.universe,
             "methods": args.methods.split(","),
+            "transports": list(TRANSPORTS),
             "kill_worker": args.kill_worker,
         },
         "slo": {k: v for k, v in slos.items()},
@@ -124,17 +134,23 @@ def run(args: argparse.Namespace) -> dict:
                 workers=args.cluster_workers,
                 checkpoint_every=args.checkpoint_every,
                 executor_workers=args.router_io_threads,
+                http_port=0,
             ).start()
-            port = service.port
+            port, http_port = service.port, service.http_port
         else:
             engine = StreamEngine(max_pending=10_000_000)
             service = StreamServer(
                 engine, executor_workers=args.router_io_threads
             ).start_in_background()
-            port = service.port
+            front = HttpFrontend(
+                engine, executor_workers=args.router_io_threads
+            ).start_in_background()
+            port, http_port = service.port, front.port
         try:
             generator = LoadGenerator(
                 port=port,
+                http_port=http_port,
+                transports=TRANSPORTS,
                 clients=args.clients,
                 batches_per_client=args.batches,
                 batch_size=args.batch_size,
@@ -181,6 +197,7 @@ def run(args: argparse.Namespace) -> dict:
         finally:
             service.stop()
             if args.mode != "cluster":
+                front.stop()
                 engine.close()
 
     report["timeline"] = timeline

@@ -6,11 +6,8 @@ and ``make service-smoke``): it is the end-to-end check that the wire
 front, the engine's queueing/locking, checkpoint-on-ingest, and the
 one-shot API all agree bit for bit.
 
-The run also races the two client transports (newline JSON, protocol 1,
-versus binary frames, protocol 2) over the same TCP socket path and
-records the result in the report's ``wire`` section.  The binary
-transport must beat JSON by at least ``--wire-min-speedup`` (default 3x)
-on append throughput; anything less means the zero-copy path regressed.
+Every batch travels as a binary ``OP_APPEND`` frame, the service's one
+TCP append path.
 
 Exit status is non-zero on any mismatch, so the script doubles as a
 release gate::
@@ -26,8 +23,6 @@ import json
 import sys
 import tempfile
 import time
-
-import numpy as np
 
 from repro.api import summarize
 from repro.service import ServiceClient, StreamEngine, StreamServer
@@ -110,134 +105,12 @@ def run_smoke(
     return report
 
 
-def _race_once(server, engine, values, *, chunk: int, tag: str) -> dict:
-    """One JSON-vs-binary append race on fresh streams; returns timings.
-
-    The elapsed time covers the append phase only: the engine runs with
-    one worker, no checkpointing, and a queue deep enough to never push
-    back, so an append returns as soon as the server has parsed the
-    batch and enqueued it.  That isolates exactly what the transports
-    differ on -- serialization, socket framing, and server-side parse --
-    rather than summary maintenance, which is identical for both.  After
-    each run the engine drains and the served histogram is diffed
-    against ``summarize()``, so the fast path is also checked for
-    bit-identity, not just speed.
-    """
-    items = len(values)
-    batch = np.asarray(values, dtype="<f8")
-    oracle = summarize(values, 16, method="min-merge")
-    result: dict = {"transports": {}}
-    for transport in ("json", "binary"):
-        stream = f"wire-{transport}-{tag}"
-        if transport == "binary":
-            # ndarray slices ride the zero-copy fast path: one
-            # binary frame per chunk, no per-item Python objects.
-            chunks = [batch[lo : lo + chunk] for lo in range(0, items, chunk)]
-        else:
-            chunks = [values[lo : lo + chunk] for lo in range(0, items, chunk)]
-        with ServiceClient(port=server.port, transport=transport) as client:
-            start = time.perf_counter()
-            for part in chunks:
-                client.append(
-                    stream,
-                    part,
-                    method="min-merge",
-                    buckets=16,
-                    universe=4096,
-                )
-            elapsed = time.perf_counter() - start
-            engine.drain()
-            served = client.query(stream).histogram
-            _check_served(f"wire[{transport}]", served, oracle, items)
-            result["transports"][transport] = {
-                "proto": client.info.proto,
-                "seconds": elapsed,
-                "values_per_second": items / elapsed,
-            }
-    result["speedup"] = (
-        result["transports"]["json"]["seconds"]
-        / result["transports"]["binary"]["seconds"]
-    )
-    return result
-
-
-def run_wire(
-    items: int,
-    *,
-    chunk: int = 5_000,
-    min_speedup: float = 3.0,
-    attempts: int = 3,
-) -> dict:
-    """Race the JSON and binary transports over TCP; return the report.
-
-    The speedup ratio is timing-sensitive on shared CI runners (a noisy
-    neighbor during either leg skews it), so the gate takes the **best
-    of up to** ``attempts`` races after one untimed warm-up round (which
-    pre-imports the numpy fast path and warms the TCP stack and branch
-    caches).  Every attempt -- not just the winner -- is recorded under
-    ``attempts`` in the report, so a run that needed retries is visible
-    in the artifact.  Bit-identity is asserted on every round including
-    the warm-up; only the *timing* gets retried.
-
-    Raises ``SystemExit`` if no attempt reaches ``min_speedup`` (set it
-    to 0 to disable the gate; the race still runs once).
-    """
-    values = _dataset(items)
-    engine = StreamEngine(workers=1, max_pending=2 * items + 1)
-    server = StreamServer(engine).start_in_background()
-    report: dict = {"items": items, "chunk": chunk, "attempts": []}
-    try:
-        warmup = _race_once(
-            server,
-            engine,
-            values[: max(chunk, items // 10)],
-            chunk=chunk,
-            tag="warmup",
-        )
-        report["warmup_speedup"] = warmup["speedup"]
-        best: dict = {}
-        for i in range(max(1, attempts)):
-            attempt = _race_once(server, engine, values, chunk=chunk, tag=f"a{i}")
-            report["attempts"].append(
-                {"speedup": attempt["speedup"], **attempt["transports"]}
-            )
-            if not best or attempt["speedup"] > best["speedup"]:
-                best = attempt
-            if min_speedup and attempt["speedup"] >= min_speedup:
-                break
-    finally:
-        server.stop()
-        engine.close()
-    report["transports"] = best["transports"]
-    report["speedup"] = best["speedup"]
-    report["min_speedup"] = min_speedup
-    if min_speedup and best["speedup"] < min_speedup:
-        raise SystemExit(
-            f"binary transport only {best['speedup']:.2f}x faster than JSON "
-            f"(best of {len(report['attempts'])} attempts; gate requires "
-            f">= {min_speedup:g}x)"
-        )
-    return report
-
-
 def main(argv=None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--items", type=int, default=100_000)
     parser.add_argument("--chunk", type=int, default=5_000)
     parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument(
-        "--wire-items",
-        type=int,
-        default=100_000,
-        help="values streamed per transport in the JSON-vs-binary race",
-    )
-    parser.add_argument(
-        "--wire-min-speedup",
-        type=float,
-        default=3.0,
-        help="required binary-over-JSON append speedup (0 disables)",
-    )
     parser.add_argument(
         "--json", default=None, help="also write the report to this path"
     )
@@ -252,20 +125,6 @@ def main(argv=None) -> int:
     print(
         f"checkpoints: {report['checkpoints']}; "
         "served histograms are bit-identical to summarize()"
-    )
-    report["wire"] = run_wire(
-        args.wire_items, chunk=args.chunk, min_speedup=args.wire_min_speedup
-    )
-    for transport, row in report["wire"]["transports"].items():
-        print(
-            f"wire[{transport}]     proto={row['proto']} "
-            f"{row['seconds']:.3f} s append phase "
-            f"({row['values_per_second']:,.0f} values/s)"
-        )
-    print(
-        f"binary-over-JSON speedup: {report['wire']['speedup']:.2f}x "
-        f"(gate >= {report['wire']['min_speedup']:g}x, best of "
-        f"{len(report['wire']['attempts'])} attempts)"
     )
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

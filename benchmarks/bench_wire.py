@@ -5,9 +5,8 @@ alive inside this benchmark so the profile stays reproducible after the
 production code has moved on:
 
 * **codec** -- encoding + decoding an append batch as a JSON request
-  line (protocol 1) versus a binary ``OP_APPEND`` frame (protocol 2).
-  This is the serialization share of the end-to-end speedup gated by
-  ``bench_service_smoke.py``.
+  line (the retired protocol 1, kept here as the "before") versus a
+  binary ``OP_APPEND`` frame (protocol 2).
 * **heap** -- FINDMIN maintenance in the MIN-MERGE kernels.  Before:
   every neighbour-key refresh was ``remove(handle)`` + ``push`` (two
   full sift chains plus handle churn) and a bucket merge retired three

@@ -68,11 +68,6 @@ SPECS = {
             "items",
             "methods",
             "checkpoints",
-            "wire.speedup",
-            "wire.min_speedup",
-            "wire.attempts",
-            "wire.transports.json.seconds",
-            "wire.transports.binary.seconds",
         ],
     },
     "BENCH_WIRE.json": {

@@ -35,6 +35,7 @@ every registered method, derived from the summary classes themselves.
 from __future__ import annotations
 
 import inspect
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -120,7 +121,18 @@ def build_summary(
     (``"optimal"``, ``"optimal-pwl"``) have no streaming summary and
     raise.  ``backend`` selects the maintenance kernel for the methods in
     :data:`BACKEND_METHODS` and must stay ``"object"`` elsewhere.
+    ``buckets``, ``universe`` and ``window`` must be integers (NumPy
+    integers included, ``bool`` excluded).
     """
+    for name, value in (
+        ("buckets", buckets), ("universe", universe), ("window", window)
+    ):
+        if value is not None and (
+            isinstance(value, bool) or not isinstance(value, numbers.Integral)
+        ):
+            raise InvalidParameterError(
+                f"{name} must be an integer, got {value!r}"
+            )
     if backend != "object" and method not in BACKEND_METHODS:
         raise InvalidParameterError(
             f"method {method!r} does not support backend={backend!r}; "

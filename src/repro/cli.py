@@ -158,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        help="run the multi-tenant streaming service (JSON + binary TCP)",
+        help="run the multi-tenant streaming service (binary TCP, optional REST)",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
@@ -192,11 +192,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--metrics", action="store_true",
         help="instrument every stream into a shared metrics registry",
-    )
-    serve.add_argument(
-        "--no-binary", action="store_true",
-        help="pin every connection to JSON lines (disable the negotiated "
-        "binary wire protocol; see docs/WIRE.md)",
     )
     serve.add_argument(
         "--http-port", type=int, default=None,
@@ -464,12 +459,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.ingest_workers,
         metrics=args.metrics,
     )
-    from repro.service import wire
-
-    protocols = (wire.PROTO_JSON,) if args.no_binary else wire.ALL_PROTOCOLS
-    server = StreamServer(
-        engine, host=args.host, port=args.port, protocols=protocols
-    )
+    server = StreamServer(engine, host=args.host, port=args.port)
     recovered = engine.streams()
     if recovered:
         print(f"recovered {len(recovered)} stream(s): {', '.join(recovered)}")
@@ -510,19 +500,17 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
     import signal
     import tempfile
 
-    from repro.service import ClusterRouter, wire
+    from repro.service import ClusterRouter
 
     cluster_dir = args.checkpoint_dir or tempfile.mkdtemp(
         prefix="repro-cluster-"
     )
-    protocols = (wire.PROTO_JSON,) if args.no_binary else wire.ALL_PROTOCOLS
     router = ClusterRouter(
         cluster_dir,
         workers=args.workers,
         host=args.host,
         port=args.port,
         checkpoint_every=args.checkpoint_every,
-        protocols=protocols,
         http_port=args.http_port,
     )
     # SIGTERM must tear down the worker processes too, not orphan them.

@@ -114,6 +114,39 @@ def coerce_batch(values):
     return list(values)
 
 
+def validated_batch(values) -> np.ndarray:
+    """An append payload as a 1-D array of finite float64 values.
+
+    The one value check of the service ingest path, run by
+    :meth:`repro.service.StreamEngine.append` before anything is
+    journaled or applied, so a bad batch is rejected whole.  A 1-D
+    float64 ndarray (the binary wire's zero-copy view) passes through
+    without a copy.  Everything else goes through :func:`coerce_batch`
+    and one conversion; booleans, text, nested sequences, ``None``,
+    integers beyond float64 range, and NaN/inf raise
+    :class:`~repro.exceptions.InvalidParameterError`.
+    """
+    batch = coerce_batch(values)
+    try:
+        arr = np.asarray(batch)
+        if arr.dtype.kind not in "iufO":
+            raise TypeError(f"got dtype {arr.dtype}")
+        arr = arr.astype(np.float64, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParameterError(
+            f"values must be real numbers: {exc}"
+        ) from exc
+    if arr.ndim != 1:
+        raise InvalidParameterError(
+            f"values must be a flat sequence of numbers, got shape {arr.shape}"
+        )
+    if arr.size and not bool(np.isfinite(arr).all()):
+        raise InvalidParameterError(
+            "append payload contains non-finite (NaN/inf) or null values"
+        )
+    return arr
+
+
 def absorbable_prefix(
     lo_vals: np.ndarray,
     hi_vals: np.ndarray,

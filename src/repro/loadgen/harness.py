@@ -2,8 +2,8 @@
 
 :class:`LoadGenerator` drives a live service (single-process server or
 cluster router -- they speak the same protocol) with ``clients``
-concurrent threads.  Each client owns one stream, alternates between the
-JSON and binary transports, appends deterministic value batches, and
+concurrent threads.  Each client owns one stream, speaks one of the
+binary TCP or REST transports, appends deterministic value batches, and
 interleaves queries -- the mixed traffic shape of the CI ``load-slo``
 gate (``benchmarks/bench_load.py``).
 
@@ -171,9 +171,9 @@ class LoadGenerator:
         Registry methods cycled across clients (stream ``i`` uses
         ``methods[i % len(methods)]``).
     transports:
-        Client transports cycled across clients (mixed JSON/binary by
-        default; add ``"rest"`` -- with ``http_port`` -- to mix in
-        clients speaking the HTTP facade of :mod:`repro.service.http`).
+        Client transports cycled across clients: ``"binary"`` (the
+        default) for TCP frames, ``"rest"`` -- with ``http_port`` -- for
+        the HTTP facade of :mod:`repro.service.http`.
     http_port:
         The REST facade's port, required when ``transports`` includes
         ``"rest"``.
@@ -190,11 +190,17 @@ class LoadGenerator:
         buckets: int = 16,
         universe: int = 4096,
         methods: Sequence[str] = ("min-merge", "min-increment"),
-        transports: Sequence[str] = ("binary", "json"),
+        transports: Sequence[str] = ("binary",),
         query_every: int = 3,
         connect_retries: int = 20,
         http_port: Optional[int] = None,
     ) -> None:
+        unknown = set(transports) - {"binary", "rest"}
+        if unknown:
+            raise InvalidParameterError(
+                f"unknown transport(s) {sorted(unknown)}; expected "
+                '"binary" or "rest"'
+            )
         if "rest" in transports and http_port is None:
             raise InvalidParameterError(
                 'transports includes "rest" but no http_port was given'
@@ -231,9 +237,7 @@ class LoadGenerator:
                     return ServiceClient.from_url(
                         f"http://{self.host}:{self.http_port}"
                     )
-                return ServiceClient(
-                    self.host, self.port, transport=transport
-                )
+                return ServiceClient(self.host, self.port)
             except OSError as exc:
                 if attempt == self.connect_retries - 1:
                     raise

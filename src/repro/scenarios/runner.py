@@ -10,7 +10,7 @@ of two targets:
   :class:`~repro.service.Session` route ``summarize()`` uses;
 * ``target="service"`` -- the wire path: an ephemeral
   :class:`~repro.service.StreamServer` (or an existing endpoint via
-  ``host``/``port``) ingests the same batches over a negotiated
+  ``host``/``port``) ingests the same batches over a binary-frame
   :class:`~repro.service.ServiceClient` connection.
 
 Either way the result is a :class:`ScenarioReport`: per-stream error

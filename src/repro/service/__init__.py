@@ -9,24 +9,22 @@ Composes the library's layers into a long-lived deployment unit:
 * :class:`Session` / :class:`StreamHandle` -- the stateful public
   facade (``session.stream("sku-42", method="min-merge").append(xs)``);
   ``repro.summarize`` is a one-shot wrapper over this same path.
-* :class:`StreamServer` / :class:`ServiceClient` -- the wire layer,
-  exposed by the CLI as ``repro serve``.  Connections start on
-  newline-delimited JSON (protocol 1) and may negotiate the zero-copy
-  binary framing of :mod:`repro.service.wire` (protocol 2,
-  ``docs/WIRE.md``) via the ``hello`` op; the client returns the typed
-  results of :mod:`repro.service.types` either way.
+* :class:`StreamServer` / :class:`ServiceClient` -- the TCP wire
+  layer, exposed by the CLI as ``repro serve``.  Every connection speaks
+  the zero-copy binary framing of :mod:`repro.service.wire`
+  (``docs/WIRE.md``); the client returns the typed results of
+  :mod:`repro.service.types`.
 * :class:`HttpFrontend` -- the HTTP/1.1 REST facade (``docs/REST.md``)
   mounted beside the TCP front over the same engine;
   ``ServiceClient.from_url("http://host:port")`` speaks it through the
   identical typed client API.
 * :mod:`repro.service.errors` -- the unified error taxonomy
   (:class:`ErrorCode` + typed :class:`ServiceError` subclasses) shared
-  by the JSON, binary, and HTTP surfaces.
+  by the binary TCP and HTTP surfaces.
 """
 
 from repro.service.client import (
     BinaryTransport,
-    JsonTransport,
     ServiceClient,
     Transport,
 )
@@ -67,7 +65,6 @@ __all__ = [
     "HttpTransport",
     "InternalError",
     "InvalidRequestError",
-    "JsonTransport",
     "QueryResult",
     "Rebalancer",
     "ServerInfo",

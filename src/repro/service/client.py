@@ -1,36 +1,33 @@
-"""Blocking service client: negotiated transports, typed results.
+"""Blocking service client: one binary TCP transport, typed results.
 
-The v2 client API (``docs/WIRE.md``, ``docs/SERVICE.md``)::
+The client API (``docs/WIRE.md``, ``docs/SERVICE.md``)::
 
     from repro.service import ServiceClient
 
-    with ServiceClient(port=port) as client:          # negotiates binary
-        client.info.proto                             # 2 on a v2 server
+    with ServiceClient(port=port) as client:          # binary frames
+        client.info.proto                             # 2
         result = client.append("sku-42", prices,      # scalars, sequences
                                method="min-merge",    # or ndarrays -- one
                                buckets=32)            # unified signature
         result.accepted
         hist = client.query("sku-42").histogram       # a real Histogram
 
-On connect the client sends a ``hello`` advertising ``proto=[1, 2]``;
-the server answers with the highest protocol both sides speak and the
-connection switches to binary framing when that is 2.  JSON remains the
-default and the fallback: a server without ``hello`` (or started with
-binary disabled) keeps the connection on newline-delimited JSON, and
-``transport="json"`` forces it.  Either way the client API is identical
--- the transport is an implementation detail selected per connection.
+The connection speaks the binary framing of :mod:`repro.service.wire`
+from its first byte.  On connect the client sends one ``hello`` op
+(offering ``proto=[2]``) to learn the server's identity, exposed as
+:attr:`ServiceClient.info`.  Newline-delimited JSON (protocol 1) is
+retired: ``transport=`` accepts only ``"binary"``.
 
-Both transports read with explicit buffering loops (a TCP read may
+The transport reads with an explicit buffering loop (a TCP read may
 return any fragment of a response; a write may be short), so the client
 is correct over deliberately fragmenting links -- pinned by the
 fragmenting-socket regression tests in ``tests/test_wire.py``.
 
 :meth:`ServiceClient.from_url` selects the transport family from a URL
-(``tcp://host:port`` for this module's socket transports,
-``http://host:port`` for the REST facade of :mod:`repro.service.http`),
-so callers stop hand-wiring host/port/prefer.  Error responses raise
-the typed exceptions of :mod:`repro.service.errors` -- one taxonomy
-across JSON, binary, and HTTP.
+(``tcp://host:port`` for binary frames, ``http://host:port`` for the
+REST facade of :mod:`repro.service.http`).  Error responses raise the
+typed exceptions of :mod:`repro.service.errors` -- one taxonomy across
+binary TCP and HTTP.
 
 ``request(payload: dict)`` -- the v1 dict-in/dict-out plumbing -- has
 completed its deprecation window (a :class:`DeprecationWarning` shim
@@ -40,7 +37,6 @@ naming the typed replacement.
 
 from __future__ import annotations
 
-import json
 import socket
 from typing import Any, Optional, Protocol, runtime_checkable
 from urllib.parse import parse_qs, urlsplit
@@ -51,9 +47,7 @@ from repro.core.batch import coerce_batch
 from repro.exceptions import InvalidParameterError
 from repro.service import wire
 from repro.service.errors import (  # noqa: F401  (ServiceError re-exported)
-    BadRequestError,
     ServiceError,
-    UnknownOperationError,
     raise_for_error,
 )
 from repro.service.types import (
@@ -70,13 +64,13 @@ _RECV_CHUNK = 1 << 16
 
 @runtime_checkable
 class Transport(Protocol):
-    """One request/response channel to a server (selected by negotiation).
+    """One request/response channel to a server (binary TCP or REST).
 
     Implementations are synchronous and connection-oriented; ``call``
     performs one round trip and returns the decoded ``ok`` response
     payload (raising via :func:`raise_for_error` otherwise).  ``append``
-    is split out so the binary transport can ship the value batch as a
-    raw float64 frame instead of a JSON document.
+    is split out so the value batch ships as raw float64 instead of a
+    JSON document.
     """
 
     proto: int
@@ -103,31 +97,13 @@ class _BufferedSocket:
 
     __slots__ = ("sock", "_buf")
 
-    def __init__(self, sock, buffered: bytes = b"") -> None:
+    def __init__(self, sock) -> None:
         self.sock = sock
-        self._buf = bytearray(buffered)
+        self._buf = bytearray()
 
     def send_all(self, *chunks) -> None:
         for chunk in chunks:
             self.sock.sendall(chunk)
-
-    def recv_line(self, limit: int) -> bytes:
-        """One ``\\n``-terminated line, however the bytes arrive."""
-        buf = self._buf
-        while True:
-            idx = buf.find(b"\n")
-            if idx >= 0:
-                line = bytes(buf[: idx + 1])
-                del buf[: idx + 1]
-                return line
-            if len(buf) > limit:
-                raise ConnectionError(
-                    f"response line exceeds {limit} bytes without a newline"
-                )
-            chunk = self.sock.recv(_RECV_CHUNK)
-            if not chunk:
-                raise ConnectionError("server closed the connection")
-            buf += chunk
 
     def recv_exactly(self, n: int) -> bytes:
         """Exactly ``n`` bytes, however the bytes arrive."""
@@ -144,48 +120,12 @@ class _BufferedSocket:
         del buf[:n]
         return out
 
-    def leftover(self) -> bytes:
-        """Unconsumed bytes (handed to a successor transport)."""
-        return bytes(self._buf)
-
     def close(self) -> None:
         self.sock.close()
 
 
-class JsonTransport:
-    """Protocol 1: newline-delimited JSON, one request line per response."""
-
-    proto = wire.PROTO_JSON
-
-    def __init__(self, sock, *, max_line: int = wire.MAX_PAYLOAD_BYTES) -> None:
-        self._io = sock if isinstance(sock, _BufferedSocket) else _BufferedSocket(sock)
-        self._max_line = max_line
-
-    def call(self, request: dict) -> dict:
-        """One JSON line out, one JSON line back (fragmentation-safe)."""
-        self._io.send_all(
-            (json.dumps(request, separators=(",", ":")) + "\n").encode("utf-8")
-        )
-        line = self._io.recv_line(self._max_line)
-        return raise_for_error(json.loads(line))
-
-    def append(self, stream: str, values, config: dict) -> dict:
-        """Append as a JSON document (values listified once)."""
-        if isinstance(values, np.ndarray):
-            values = values.tolist()
-        elif not isinstance(values, list):
-            values = list(values)
-        return self.call(
-            {"op": "append", "stream": stream, "values": values, **config}
-        )
-
-    def close(self) -> None:
-        """Close the connection."""
-        self._io.close()
-
-
 class BinaryTransport:
-    """Protocol 2: length-prefixed binary frames (``repro.service.wire``).
+    """Length-prefixed binary frames (``repro.service.wire``).
 
     Appends travel as ``OP_APPEND`` frames -- a float64 C-contiguous
     ndarray is written straight from its own buffer (no copy); every
@@ -195,7 +135,18 @@ class BinaryTransport:
     proto = wire.PROTO_BINARY
 
     def __init__(self, sock) -> None:
-        self._io = sock if isinstance(sock, _BufferedSocket) else _BufferedSocket(sock)
+        self._io = _BufferedSocket(sock)
+
+    def hello(self) -> ServerInfo:
+        """One ``hello`` round trip; returns the server's identity."""
+        response = self.call({"op": "hello", "proto": [wire.PROTO_BINARY]})
+        server = response.get("server", {})
+        return ServerInfo(
+            proto=int(response["proto"]),
+            protocols=tuple(server.get("protocols", (wire.PROTO_BINARY,))),
+            server=server.get("name", "repro-histogram"),
+            wire_version=server.get("wire_version"),
+        )
 
     def call(self, request: dict) -> dict:
         """One ``OP_JSON`` frame out, one ``OP_OK``/``OP_ERR`` frame back."""
@@ -226,66 +177,15 @@ class BinaryTransport:
         self._io.close()
 
 
-def negotiate_transport(
-    sock, *, prefer: str = "auto", buffered: bytes = b""
-) -> tuple[Transport, ServerInfo]:
-    """Run ``hello`` over a fresh connection; return (transport, info).
-
-    ``prefer`` is ``"auto"`` (negotiate the best protocol), ``"json"``
-    (skip negotiation entirely -- also the compatibility mode for
-    pre-``hello`` servers), or ``"binary"`` (raise unless the server
-    speaks protocol 2).  The same socket is reused across the switch;
-    any bytes read beyond the hello response are carried over.
-    """
-    io = sock if isinstance(sock, _BufferedSocket) else _BufferedSocket(sock, buffered)
-    json_transport = JsonTransport(io)
-    if prefer == "json":
-        return json_transport, ServerInfo(
-            proto=wire.PROTO_JSON,
-            protocols=(wire.PROTO_JSON,),
-            negotiated=False,
-        )
-    if prefer not in ("auto", "binary"):
-        raise ValueError(
-            f'transport must be "auto", "json", or "binary", got {prefer!r}'
-        )
-    try:
-        response = json_transport.call(
-            {"op": "hello", "proto": list(wire.ALL_PROTOCOLS)}
-        )
-    except UnknownOperationError:
-        if prefer == "auto":
-            # Pre-negotiation server: stay on JSON lines.
-            return json_transport, ServerInfo(
-                proto=wire.PROTO_JSON,
-                protocols=(wire.PROTO_JSON,),
-                negotiated=False,
-            )
-        raise
-    server = response.get("server", {})
-    info = ServerInfo(
-        proto=int(response.get("proto", wire.PROTO_JSON)),
-        protocols=tuple(server.get("protocols", (wire.PROTO_JSON,))),
-        server=server.get("name", "repro-histogram"),
-        wire_version=server.get("wire_version"),
-    )
-    if info.proto == wire.PROTO_BINARY:
-        return BinaryTransport(io), info
-    if prefer == "binary":
-        raise BadRequestError(
-            f"server only speaks protocol(s) {info.protocols}; "
-            "binary transport unavailable"
-        )
-    return json_transport, info
-
-
 class ServiceClient:
     """Blocking client for :class:`~repro.service.StreamServer`.
 
-    One TCP connection, synchronous request/response, typed results
-    (:mod:`repro.service.types`).  The transport -- JSON lines or binary
-    frames -- is negotiated at connect time and visible as
-    :attr:`info`; pass ``transport="json"`` / ``"binary"`` to pin it.
+    One TCP connection in binary frames, synchronous request/response,
+    typed results (:mod:`repro.service.types`).  The server identity
+    learned by ``hello`` at connect time is :attr:`info`.  ``transport``
+    accepts only ``"binary"``; any other value raises
+    :class:`~repro.exceptions.InvalidParameterError` (newline-delimited
+    JSON, protocol 1, is retired).
 
     Error responses raise the typed :class:`ServiceError` subclasses of
     :mod:`repro.service.errors` (with
@@ -300,8 +200,14 @@ class ServiceClient:
         port: int = 0,
         *,
         timeout: float = 30.0,
-        transport: str = "auto",
+        transport: str = "binary",
     ) -> None:
+        if transport != "binary":
+            raise InvalidParameterError(
+                f"transport={transport!r} is not supported: newline-"
+                "delimited JSON (protocol 1) was retired; TCP speaks only "
+                '"binary" (use an http:// URL for the REST facade)'
+            )
         self._closed = False
         sock = socket.create_connection((host, port), timeout=timeout)
         # Every request is a small write (or two: header then payload)
@@ -314,9 +220,8 @@ class ServiceClient:
         except OSError:  # pragma: no cover - exotic transports only
             pass
         try:
-            self._transport, self._info = negotiate_transport(
-                sock, prefer=transport
-            )
+            self._transport = BinaryTransport(sock)
+            self._info = self._transport.hello()
         except BaseException:
             sock.close()
             raise
@@ -336,8 +241,8 @@ class ServiceClient:
     def from_url(cls, url: str, *, timeout: float = 30.0) -> "ServiceClient":
         """Connect to a service URL, choosing the transport family.
 
-        ``tcp://host:port`` (optionally ``?transport=json|binary|auto``)
-        uses this module's socket transports with ``hello`` negotiation;
+        ``tcp://host:port`` uses this module's binary transport (an
+        explicit ``?transport=`` must be ``binary``);
         ``http://host:port`` talks to the REST facade
         (:mod:`repro.service.http`) through the same typed client API.
         A bare ``host:port`` string counts as ``tcp://``.
@@ -350,8 +255,8 @@ class ServiceClient:
                 f"service URL {url!r} must carry an explicit port"
             )
         if scheme == "tcp":
-            prefer = parse_qs(parsed.query).get("transport", ["auto"])[0]
-            return cls(host, parsed.port, timeout=timeout, transport=prefer)
+            transport = parse_qs(parsed.query).get("transport", ["binary"])[0]
+            return cls(host, parsed.port, timeout=timeout, transport=transport)
         if scheme == "http":
             # Imported lazily: the REST module is optional at runtime for
             # pure-TCP callers and imports this module's helpers.
@@ -382,13 +287,13 @@ class ServiceClient:
 
     @property
     def info(self) -> ServerInfo:
-        """What ``hello`` negotiation learned (protocol, server identity)."""
+        """What ``hello`` learned (protocol, server identity)."""
         return self._info
 
     @property
     def transport(self) -> Transport:
-        """The live transport (a :class:`JsonTransport` or
-        :class:`BinaryTransport`)."""
+        """The live transport (a :class:`BinaryTransport`, or the REST
+        facade's :class:`~repro.service.http.HttpTransport`)."""
         return self._transport
 
     # -- typed operations ----------------------------------------------------
@@ -397,10 +302,9 @@ class ServiceClient:
         """Append values to a stream (creating it from ``config``).
 
         ``values`` may be a scalar, any sequence, or a numpy ndarray --
-        one unified signature (``docs/API.md``).  On the binary
-        transport an ndarray is shipped as a single raw float64 frame
-        with no per-item conversion; a float64 C-contiguous array is
-        not even copied.
+        one unified signature (``docs/API.md``).  An ndarray is shipped
+        as a single raw float64 frame with no per-item conversion; a
+        float64 C-contiguous array is not even copied.
         """
         response = self._transport.append(stream, coerce_batch(values), config)
         return AppendResult(

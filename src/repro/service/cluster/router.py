@@ -5,13 +5,13 @@
 processes (:mod:`repro.service.cluster.worker`), places every stream on
 exactly one of them with a consistent-hash ring
 (:class:`~repro.service.cluster.ring.HashRing`), and serves the same
-JSON/binary wire protocol clients already speak -- a client cannot tell
+binary wire protocol clients already speak -- a client cannot tell
 a router from a single-process server.
 
 The router reuses :class:`~repro.service.StreamServer` unchanged: its
 "engine" is a :class:`_ProxyEngine` that implements the engine surface
 by forwarding each operation to the owning worker over pooled
-:class:`~repro.service.ServiceClient` connections (binary-negotiated, so
+:class:`~repro.service.ServiceClient` connections (binary frames, so
 zero-copy append frames stay zero-copy end to end).
 
 **Worker death and adoption.**  Every stream is durable: workers share
@@ -171,7 +171,6 @@ class ClusterRouter:
         port: int = 0,
         checkpoint_every: Optional[int] = None,
         replicas: int = DEFAULT_REPLICAS,
-        protocols: Sequence[int] = wire.ALL_PROTOCOLS,
         executor_workers: int = 32,
         pool_size: int = 4,
         worker_timeout: float = 30.0,
@@ -186,7 +185,6 @@ class ClusterRouter:
         self._requested_http_port = http_port
         self.checkpoint_every = checkpoint_every
         self.replicas = replicas
-        self.protocols = protocols
         self.executor_workers = executor_workers
         self.pool_size = pool_size
         self.worker_timeout = worker_timeout
@@ -252,7 +250,6 @@ class ClusterRouter:
             _ProxyEngine(self),
             host=self.host,
             port=self._requested_port,
-            protocols=self.protocols,
             executor_workers=self.executor_workers,
         )
         self.server.start_in_background()

@@ -7,7 +7,7 @@ Spawned by the router (or ``repro-histogram serve --workers N``) as::
 
 Each worker is a full single-process service -- the same
 :class:`~repro.service.StreamEngine` + :class:`~repro.service.StreamServer`
-stack, speaking the same JSON/binary wire protocol -- pointed at the
+stack, speaking the same binary wire protocol -- pointed at the
 cluster's **shared** checkpoint root (``<cluster-dir>/tenants``).  On
 startup it recovers only the manifested streams the hash ring assigns to
 it (the ``owns`` predicate), binds an ephemeral port, and publishes
@@ -32,7 +32,6 @@ from typing import Optional, Sequence
 from repro.service.cluster.ring import DEFAULT_REPLICAS, HashRing
 from repro.service.engine import StreamEngine
 from repro.service.server import StreamServer
-from repro.service import wire
 
 #: Subdirectory of the cluster dir holding every stream's checkpoint
 #: store (shared by all workers; each stream dir is written by its owner).
@@ -86,7 +85,7 @@ def build_worker(
         max_pending=max_pending,
         owns=owns,
     )
-    server = StreamServer(engine, host=host, port=0, protocols=wire.ALL_PROTOCOLS)
+    server = StreamServer(engine, host=host, port=0)
     return engine, server
 
 

@@ -47,7 +47,7 @@ from collections import deque
 from typing import Optional, Sequence
 
 from repro.api import DEFAULT_UNIVERSE, build_summary, streaming_methods
-from repro.core.batch import coerce_batch
+from repro.core.batch import validated_batch
 from repro.core.histogram import Histogram, HistogramMeta
 from repro.exceptions import (
     BackpressureError,
@@ -607,10 +607,14 @@ class StreamEngine:
         """Append values to the named stream; returns the item count.
 
         One unified signature (``docs/API.md``): ``values`` may be a
-        scalar, any sequence, or a numpy ndarray -- normalized through
-        :func:`~repro.core.batch.coerce_batch`, so an ndarray (e.g. the
-        zero-copy view over a binary wire frame) reaches the vectorized
-        batch kernels without conversion.
+        scalar, any sequence, or a numpy ndarray.  The batch is checked
+        and normalized once, by :func:`~repro.core.batch.validated_batch`,
+        before anything is journaled or applied: values that are not
+        finite real numbers raise
+        :class:`~repro.exceptions.InvalidParameterError` and the whole
+        batch is rejected.  A float64 ndarray (e.g. the zero-copy view
+        over a binary wire frame) reaches the vectorized batch kernels
+        without conversion.
 
         Synchronous engines (``workers=0``) apply inline before
         returning; worker engines enqueue and return immediately (call
@@ -621,7 +625,7 @@ class StreamEngine:
         """
         self._check_open()
         tenant = self._tenant(stream_id)
-        values = coerce_batch(values)
+        values = validated_batch(values)
         n = len(values)
         if n == 0:
             return 0

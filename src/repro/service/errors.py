@@ -1,7 +1,7 @@
 """Unified service error taxonomy shared by every wire surface.
 
 One :class:`ErrorCode` enum names every error the service can answer,
-whatever the transport -- JSON lines, binary frames, or the HTTP/REST
+whatever the surface -- binary TCP frames or the HTTP/REST
 facade (``docs/REST.md``) -- and :data:`HTTP_STATUS` pins each code to
 exactly one HTTP status, so a REST client and a TCP client observing
 the same failure see the same code:

@@ -2,9 +2,9 @@
 
 A stdlib-only asyncio HTTP server mounted *beside* the TCP front: the
 same :class:`~repro.service.StreamEngine` (or cluster
-:class:`~repro.service.cluster.ClusterRouter` proxy) serves JSON-line,
-binary-frame, and REST clients simultaneously, so histograms observed
-over any transport are bit-identical.  No web framework is involved --
+:class:`~repro.service.cluster.ClusterRouter` proxy) serves binary-frame
+TCP and REST clients simultaneously, so histograms observed over either
+surface are bit-identical.  No web framework is involved --
 the request loop parses request lines, headers, and ``Content-Length``
 bodies directly and keeps connections alive per HTTP/1.1 semantics.
 
@@ -43,7 +43,7 @@ the batch twice, answering with ``Idempotency-Replayed: true``.
 The module also provides the client half: :class:`HttpTransport`
 implements the :class:`~repro.service.client.Transport` protocol over
 ``http.client``, which is how ``ServiceClient.from_url("http://...")``
-speaks REST through the same typed API as the socket transports.
+speaks REST through the same typed API as the binary TCP transport.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ import json
 import re
 import threading
 from collections import OrderedDict
-from math import isfinite
 from typing import Optional, Tuple
 from urllib.parse import parse_qs, quote, unquote, urlencode
 
@@ -72,9 +71,9 @@ from repro.service.errors import (
 )
 from repro.service.types import ServerInfo
 
-#: Protocol number of the REST transport (1 = JSON lines, 2 = binary
-#: frames; negotiated ``hello`` protocols stay TCP-only -- this number
-#: identifies the transport family in ``ServerInfo``/``/v1/meta``).
+#: Protocol number of the REST transport (2 = binary TCP frames; 1, JSON
+#: lines, is retired).  It identifies the transport family in
+#: ``ServerInfo`` and ``/v1/meta``.
 PROTO_HTTP = 3
 
 #: Cap on one request line or header line (headers are small; bodies
@@ -558,11 +557,6 @@ class HttpFrontend:
             values = [values]
         if not isinstance(values, list):
             raise BadRequestError('"values" must be a JSON array or a number')
-        for value in values:
-            if isinstance(value, float) and not isfinite(value):
-                raise BadRequestError(
-                    "append payload contains non-finite (NaN/inf) values"
-                )
         return values, config
 
     def _r_histogram(self, match, query, headers, body):
@@ -683,9 +677,9 @@ class HttpTransport:
 
     One keep-alive ``http.client`` connection; each op maps to its REST
     route, and error responses raise the same typed exceptions as the
-    socket transports (one taxonomy, whatever the wire).  Connection
+    binary TCP transport (one taxonomy, whatever the wire).  Connection
     failures surface as ``ConnectionError``/``OSError`` exactly like the
-    socket transports, so retry/reconnect logic is transport-agnostic.
+    TCP transport, so retry/reconnect logic is transport-agnostic.
     """
 
     proto = PROTO_HTTP
@@ -794,6 +788,5 @@ def connect_http(
         protocols=tuple(server.get("protocols", (PROTO_HTTP,))),
         server=server.get("name", _SERVER_NAME),
         wire_version=server.get("wire_version"),
-        negotiated=False,
     )
     return transport, info

@@ -1,64 +1,53 @@
-"""Asyncio wire front for a :class:`~repro.service.StreamEngine`.
+"""Asyncio TCP front for a :class:`~repro.service.StreamEngine`.
 
-Every connection starts in **protocol 1**: newline-delimited JSON over
-TCP -- the simplest wire format the stdlib can serve and every language
-can speak.  One request per line, one response per line (see
-``docs/SERVICE.md`` for the full schema)::
+Every connection speaks the length-prefixed binary framing of
+:mod:`repro.service.wire` (``docs/WIRE.md``) from its first byte.
+Append frames (``OP_APPEND``) carry raw float64 values that travel
+socket -> ``numpy.frombuffer`` -> the engine's batched ``extend()``
+with zero per-item Python objects; every other op rides in an
+``OP_JSON`` frame holding one request object::
 
-    {"op": "append", "stream": "sku-42", "values": [3, 1, 4],
-     "method": "min-merge", "buckets": 32}
-    {"ok": true, "accepted": 3}
+    {"op": "hello", "proto": [2]}
+    {"ok": true, "proto": 2, "server": {"name": ..., ...}}
 
     {"op": "query", "stream": "sku-42"}
     {"ok": true, "histogram": {"error": ..., "segments": [...],
                                "meta": {...}}}
 
-A ``hello`` request (``{"op": "hello", "proto": [1, 2]}``) negotiates
-the connection up to **protocol 2**: the length-prefixed binary framing
-of :mod:`repro.service.wire` (``docs/WIRE.md``).  Binary append frames
-carry raw float64 values that travel socket -> ``numpy.frombuffer`` ->
-the engine's batched ``extend()`` with zero per-item Python objects --
-the ingest hot path the JSON format cannot reach.  JSON remains the
-default and the fallback; a connection that never says hello is served
-exactly as before.
-
-Operations: ``hello``, ``append`` (creates the stream on first use from
-the request's config), ``query``, ``stats``, ``checkpoint``,
-``streams``, ``ping``.  Errors come back as ``{"ok": false, "error":
-<code>, "message": ...}`` with the codes of the unified taxonomy
-(:mod:`repro.service.errors`, shared with the HTTP facade):
-``backpressure`` (queue bound hit -- back off and retry), ``invalid``
-(bad parameters), ``unknown-stream`` (the stream id is not registered),
-``empty`` (query before any data), ``bad-request`` (malformed JSON,
-malformed binary frame, missing fields, non-finite values),
-``unknown-op``, ``unavailable`` (cluster worker failed mid-request),
-and ``internal``.  In binary mode a *framing* error
-(bad magic, bad version, oversized length) additionally closes the
-connection: a desynchronized byte stream cannot be re-synchronized.
+Operations: ``hello`` (the server's identity; clients send it once at
+connect), ``query``, ``stats``, ``checkpoint``, ``streams``, ``drain``,
+``ping``, and the cluster-internal ``adopt`` / ``release``.  Appends
+travel only as ``OP_APPEND`` frames (the stream is created on first use
+from the frame's meta config).  Errors come back as ``OP_ERR`` frames
+``{"ok": false, "error": <code>, "message": ...}`` with the codes of the
+unified taxonomy (:mod:`repro.service.errors`, shared with the HTTP
+facade): ``backpressure`` (queue bound hit -- back off and retry),
+``invalid`` (bad parameters or values), ``unknown-stream``, ``empty``
+(query before any data), ``bad-request`` (malformed frame or request,
+missing fields, non-finite values), ``unknown-op``, ``unavailable``
+(cluster worker failed mid-request), and ``internal``.  A *framing*
+error (bad magic, bad version, oversized length) additionally closes
+the connection: a desynchronized byte stream cannot be re-synchronized.
+A connection whose first byte is not the frame magic -- a retired
+protocol-1 JSON line, say -- gets one ``bad-request`` error frame and
+is closed at once.
 
 The event loop never blocks on the engine: every engine call runs in a
 thread-pool executor, so slow batch applies on one connection do not
 stall others.  The engine itself is thread-safe (per-stream locks), so
-any number of connections -- on either protocol -- may hit the same
-stream.
+any number of connections may hit the same stream.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import threading
-from math import isfinite
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.exceptions import InvalidParameterError, ReproError
+from repro.exceptions import ReproError
 from repro.service import wire
 from repro.service.engine import StreamEngine
-from repro.service.errors import classify_exception
-
-#: Refuse request lines longer than this many bytes (a malformed or
-#: hostile client should not buffer unbounded memory server-side).
-MAX_LINE_BYTES = 64 * 1024 * 1024
+from repro.service.errors import BadRequestError, classify_exception
 
 _STREAM_CONFIG_KEYS = (
     "method",
@@ -71,15 +60,15 @@ _STREAM_CONFIG_KEYS = (
 
 _SERVER_NAME = "repro-histogram"
 
-#: First byte of the frame magic (0xF5).  It can never begin a JSON
-#: document (it is not even a legal UTF-8 lead byte), so peeking one byte
-#: distinguishes a stray binary frame from a JSON line without waiting
-#: for a newline that a binary frame will never contain.
+#: First byte of the frame magic (0xF5).  It can never begin a text line
+#: (it is not even a legal UTF-8 lead byte), so one byte tells a client
+#: still speaking the retired JSON-lines protocol from a frame, without
+#: waiting for header bytes such a client will never send.
 _MAGIC_BYTE = bytes([wire.MAGIC >> 8])
 
 
 class StreamServer:
-    """Serve one engine over TCP: JSON lines, with negotiated binary.
+    """Serve one engine over TCP in binary frames.
 
     Parameters
     ----------
@@ -89,11 +78,6 @@ class StreamServer:
     host / port:
         Bind address; ``port=0`` picks a free port (read it back from
         :attr:`port` after :meth:`start`).
-    protocols:
-        Protocol numbers this server advertises in ``hello`` responses.
-        The default offers both JSON lines (1) and binary frames (2);
-        pass ``(1,)`` to pin every connection to JSON (the CLI's
-        ``--no-binary``).
     executor_workers:
         Size of a dedicated thread pool for engine calls.  ``None`` (the
         default) uses the loop's default executor -- right for a
@@ -109,19 +93,12 @@ class StreamServer:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        protocols: Sequence[int] = wire.ALL_PROTOCOLS,
         executor_workers: Optional[int] = None,
     ) -> None:
         self.engine = engine
         self.host = host
         self.port = port
         self.executor_workers = executor_workers
-        self.protocols = tuple(int(p) for p in protocols)
-        if wire.PROTO_JSON not in self.protocols:
-            raise InvalidParameterError(
-                "the server must always speak protocol 1 (JSON lines); "
-                f"got protocols={self.protocols}"
-            )
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
@@ -147,7 +124,6 @@ class StreamServer:
             self._handle_connection,
             self.host,
             self.port,
-            limit=MAX_LINE_BYTES,
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._started.set()
@@ -195,52 +171,27 @@ class StreamServer:
             self._thread.join(timeout=5.0)
             self._thread = None
 
-    # -- connection handling (protocol state machine) ------------------------
+    # -- connection handling -------------------------------------------------
 
     async def _handle_connection(self, reader, writer) -> None:
-        """One client: JSON lines until ``hello`` negotiates binary."""
+        """One client: frames from the first byte until EOF."""
         try:
-            while True:
-                first = await reader.read(1)
-                if not first:
-                    break
-                if first in b"\r\n":
-                    continue
-                if first == _MAGIC_BYTE:
-                    # A binary frame before negotiation: refuse loudly
-                    # rather than feeding frame bytes to the JSON parser
-                    # (or blocking on a newline the frame will never send).
-                    writer.write(
-                        _json_error(
-                            "bad-request",
-                            "binary frame before negotiation; send "
-                            '{"op": "hello", "proto": [1, 2]} first',
-                        )
+            first = await reader.read(1)
+            if first == _MAGIC_BYTE:
+                rest = await reader.readexactly(wire.HEADER_BYTES - 1)
+                await self._serve_binary(reader, writer, first + rest)
+            elif first:
+                writer.write(
+                    _frame_error(
+                        "bad-request",
+                        "not a binary frame: newline-delimited JSON "
+                        "(protocol 1) is retired; speak the framing of "
+                        "docs/WIRE.md or use the REST facade",
                     )
-                    await writer.drain()
-                    break
-                try:
-                    line = first + await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    writer.write(_json_error("bad-request", "request too long"))
-                    await writer.drain()
-                    break
-                if not line.strip():
-                    continue
-                request = _parse_json_line(line)
-                if isinstance(request, dict) and request.get("op") == "hello":
-                    ok, payload, proto = self._negotiate(request)
-                    writer.write(
-                        _encode_json(ok, payload)
-                    )
-                    await writer.drain()
-                    if ok and proto == wire.PROTO_BINARY:
-                        await self._serve_binary(reader, writer)
-                        break
-                    continue
-                ok, payload = await self._dispatch(request)
-                writer.write(_encode_json(ok, payload))
+                )
                 await writer.drain()
+        except asyncio.IncompleteReadError:
+            pass  # closed mid-header
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
@@ -256,13 +207,9 @@ class StreamServer:
                 # finishing normally here keeps teardown quiet.
                 pass
 
-    async def _serve_binary(self, reader, writer) -> None:
-        """Protocol 2: length-prefixed frames until EOF or framing error."""
+    async def _serve_binary(self, reader, writer, header: bytes) -> None:
+        """Length-prefixed frames until EOF or a framing error."""
         while True:
-            try:
-                header = await reader.readexactly(wire.HEADER_BYTES)
-            except asyncio.IncompleteReadError:
-                return  # clean EOF (possibly mid-header on abrupt close)
             try:
                 opcode, length = wire.decode_header(header)
                 payload = await reader.readexactly(length)
@@ -276,6 +223,10 @@ class StreamServer:
             ok, response = await self._dispatch_frame(opcode, payload)
             writer.write(_encode_frame(ok, response))
             await writer.drain()
+            try:
+                header = await reader.readexactly(wire.HEADER_BYTES)
+            except asyncio.IncompleteReadError:
+                return  # clean EOF (possibly mid-header on abrupt close)
 
     async def _dispatch_frame(self, opcode: int, payload) -> tuple[bool, dict]:
         if opcode == wire.OP_APPEND:
@@ -289,67 +240,17 @@ class StreamServer:
                 request = wire.decode_json_payload(payload)
             except wire.WireError as exc:
                 return False, {"error": "bad-request", "message": str(exc)}
-            if request.get("op") == "hello":
-                # Re-negotiation inside binary mode is a no-op: report
-                # the live protocol without switching anything.
-                ok, response, _proto = self._negotiate(
-                    request, active=wire.PROTO_BINARY
-                )
-                return ok, response
             return await self._dispatch(request)
         return False, {
             "error": "bad-request",
             "message": f"unexpected opcode 0x{opcode:02x} in a request",
         }
 
-    # -- negotiation ---------------------------------------------------------
-
-    def _negotiate(
-        self, request: dict, *, active: Optional[int] = None
-    ) -> tuple[bool, dict, Optional[int]]:
-        """Handle ``hello``; returns ``(ok, payload, negotiated_proto)``."""
-        offered = request.get("proto", [wire.PROTO_JSON])
-        if not isinstance(offered, (list, tuple)):
-            return (
-                False,
-                {
-                    "error": "bad-request",
-                    "message": '"proto" must be a JSON array of protocol '
-                    "numbers",
-                },
-                None,
-            )
-        chosen = wire.negotiate(offered, self.protocols)
-        if chosen is None:
-            return (
-                False,
-                {
-                    "error": "bad-request",
-                    "message": f"no common protocol: client offered "
-                    f"{list(offered)}, server speaks "
-                    f"{list(self.protocols)}",
-                },
-                None,
-            )
-        if active is not None:
-            chosen = active
-        payload = {
-            "proto": chosen,
-            "server": {
-                "name": _SERVER_NAME,
-                "wire_version": wire.WIRE_VERSION,
-                "protocols": list(self.protocols),
-            },
-        }
-        return True, payload, chosen
-
     # -- request dispatch ----------------------------------------------------
 
     async def _dispatch(self, request) -> tuple[bool, dict]:
         """Route one decoded request; returns ``(ok, payload)``."""
-        if isinstance(request, _BadRequest):
-            return False, {"error": "bad-request", "message": request.message}
-        if not isinstance(request, dict) or "op" not in request:
+        if "op" not in request:
             return False, {
                 "error": "bad-request",
                 "message": 'request must be {"op": ..., ...}',
@@ -399,23 +300,6 @@ class StreamServer:
         if not config and stream_id in self.engine.streams():
             return self.engine.handle(stream_id)
         return self.engine.stream(stream_id, **config)
-
-    def _op_append(self, request: dict) -> dict:
-        values = request["values"]
-        if isinstance(values, (int, float)):
-            values = [values]
-        if not isinstance(values, (list, tuple)):
-            raise InvalidParameterError(
-                "values must be a JSON array or a single number"
-            )
-        for v in values:
-            if isinstance(v, float) and not isfinite(v):
-                raise InvalidParameterError(
-                    "append payload contains non-finite (NaN/inf) values"
-                )
-        handle = self._stream_for(request)
-        accepted = handle.append(values)
-        return {"accepted": accepted, "stream": handle.stream_id}
 
     def _append_array(self, meta: dict, values) -> dict:
         """Zero-copy append: the binary frame's ndarray goes straight in.
@@ -474,33 +358,26 @@ class StreamServer:
     def _op_ping(self, request: dict) -> dict:
         return {"pong": True}
 
-
-class _BadRequest:
-    """Sentinel for an unparseable request line (carries the message)."""
-
-    __slots__ = ("message",)
-
-    def __init__(self, message: str) -> None:
-        self.message = message
-
-
-def _parse_json_line(line: bytes):
-    try:
-        return json.loads(line)
-    except ValueError:
-        return _BadRequest("request is not valid JSON")
+    def _op_hello(self, request: dict) -> dict:
+        """The server's identity; the client must offer protocol 2."""
+        offered = request.get("proto", [wire.PROTO_BINARY])
+        if not isinstance(offered, list) or wire.PROTO_BINARY not in offered:
+            raise BadRequestError(
+                f"no common protocol: client offered {offered!r}, server "
+                f"speaks [{wire.PROTO_BINARY}] (protocol 1, JSON lines, "
+                "is retired)"
+            )
+        return {
+            "proto": wire.PROTO_BINARY,
+            "server": {
+                "name": _SERVER_NAME,
+                "wire_version": wire.WIRE_VERSION,
+                "protocols": [wire.PROTO_BINARY],
+            },
+        }
 
 
 # -- response encoders -------------------------------------------------------
-
-
-def _encode_json(ok: bool, payload: dict) -> bytes:
-    body = {"ok": True, **payload} if ok else {"ok": False, **payload}
-    return (json.dumps(body, separators=(",", ":")) + "\n").encode("utf-8")
-
-
-def _json_error(code: str, message: str) -> bytes:
-    return _encode_json(False, {"error": code, "message": message})
 
 
 def _encode_frame(ok: bool, payload: dict) -> bytes:

@@ -21,19 +21,17 @@ from repro.core.histogram import Histogram
 
 @dataclass(frozen=True)
 class ServerInfo:
-    """What ``hello`` negotiation learned about the server.
+    """What the client learned about the server at connect time.
 
-    ``proto`` is the protocol this connection actually speaks (1 = JSON
-    lines, 2 = binary frames); ``protocols`` is everything the server
-    advertised.  A pre-negotiation server (no ``hello`` op) surfaces as
-    ``proto=1`` with ``negotiated=False``.
+    ``proto`` is the protocol this connection speaks (2 = binary TCP
+    frames, learned by ``hello``; 3 = the REST facade, learned from
+    ``/v1/meta``); ``protocols`` is everything the server advertised.
     """
 
     proto: int
     protocols: Tuple[int, ...]
     server: str = "repro-histogram"
     wire_version: Optional[int] = None
-    negotiated: bool = True
 
 
 @dataclass(frozen=True)

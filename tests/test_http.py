@@ -2,7 +2,7 @@
 
 Pins the tentpole guarantees of the REST surface:
 
-* REST, JSON, and binary clients hitting the same engine observe
+* REST and binary TCP clients hitting the same engine observe
   bit-identical histograms (and all match the one-shot ``summarize()``
   oracle) -- the facade is a view, not a fork.
 * The unified error taxonomy maps to its fixed HTTP statuses
@@ -23,7 +23,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.api import summarize
+from repro.api import build_summary, summarize
 from repro.exceptions import BackpressureError, InvalidParameterError
 from repro.service import (
     HttpFrontend,
@@ -271,6 +271,76 @@ class TestErrorMapping:
             engine.close()
 
 
+class TestAppendValidation:
+    """Values and stream sizes are checked before anything is journaled."""
+
+    @pytest.mark.parametrize(
+        "body",
+        ["[1, null]", "[[1, 2]]", "[" + "9" * 400 + "]", "[true]"],
+        ids=["null", "nested", "huge-int", "bool"],
+    )
+    def test_bad_values_are_400_and_never_journaled(self, tmp_path, body):
+        engine = StreamEngine(checkpoint_dir=tmp_path)
+        front = HttpFrontend(engine).start_in_background()
+        try:
+            status, _h, _b = _raw(
+                front,
+                "POST",
+                "/v1/streams/-/v:append?method=min-merge&buckets=4",
+                body=json.dumps([1, 2]),
+            )
+            assert status == 200
+            status, _h, reply = _raw(
+                front, "POST", "/v1/streams/-/v:append", body=body
+            )
+            assert status == 400 and reply["error"] == "invalid"
+            assert engine.items_seen("v") == 2
+            status, _h, _b = _raw(front, "GET", "/v1/streams/-/v/histogram")
+            assert status == 200
+        finally:
+            front.stop()
+            engine.close()
+        recovered = StreamEngine(checkpoint_dir=tmp_path)
+        try:
+            assert recovered.histogram("v").meta.items_seen == 2
+        finally:
+            recovered.close()
+
+    @pytest.mark.parametrize("buckets", [2.5, True])
+    @pytest.mark.parametrize("transport", ["binary", "rest"])
+    def test_non_integer_buckets_rejected(self, stack, transport, buckets):
+        engine, server, front = stack
+        if transport == "binary":
+            with ServiceClient(port=server.port) as client:
+                with pytest.raises(ServiceError) as excinfo:
+                    client.append(
+                        "b", [1, 2], method="min-merge", buckets=buckets
+                    )
+            assert excinfo.value.code == "invalid"
+        else:
+            document = {"values": [1, 2], "method": "min-merge",
+                        "buckets": buckets}
+            status, _h, reply = _raw(
+                front, "POST", "/v1/streams/-/b:append",
+                body=json.dumps(document),
+            )
+            assert status == 400 and reply["error"] == "invalid"
+        assert "b" not in engine.streams()
+
+    def test_integer_sizes_accept_numpy_and_reject_floats(self):
+        build_summary("min-merge", buckets=np.int64(4))
+        build_summary(
+            "min-increment", buckets=4, universe=np.int32(64), window=8
+        )
+        for kwargs in (
+            {"buckets": 4.0},
+            {"buckets": 4, "universe": 64.0},
+            {"buckets": 4, "window": False},
+        ):
+            with pytest.raises(InvalidParameterError, match="integer"):
+                build_summary("min-increment", **kwargs)
+
+
 class TestIdempotencyKey:
     def test_replay_returns_cached_ack_without_reapplying(self, stack):
         engine, _server, front = stack
@@ -321,9 +391,13 @@ class TestTypedClientOverRest:
         with ServiceClient.from_url(f"tcp://127.0.0.1:{server.port}") as c:
             assert c.info.proto == 2
         with ServiceClient.from_url(
-            f"tcp://127.0.0.1:{server.port}?transport=json"
+            f"tcp://127.0.0.1:{server.port}?transport=binary"
         ) as c:
-            assert c.info.proto == 1
+            assert c.info.proto == 2
+        with pytest.raises(InvalidParameterError, match="protocol 1"):
+            ServiceClient.from_url(
+                f"tcp://127.0.0.1:{server.port}?transport=json"
+            )
         with ServiceClient.from_url(f"127.0.0.1:{server.port}") as c:
             assert c.info.proto == 2  # bare host:port counts as tcp://
         with ServiceClient.from_url(f"http://127.0.0.1:{front.port}") as c:

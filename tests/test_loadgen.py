@@ -16,6 +16,7 @@ Covers the pieces the CI ``load-slo`` gate trusts:
 import pytest
 
 from repro.api import summarize
+from repro.exceptions import InvalidParameterError
 from repro.loadgen import (
     ACKED,
     AMBIGUOUS,
@@ -31,7 +32,7 @@ from repro.loadgen import (
     verify_stream,
 )
 from repro.loadgen.harness import _segments_as_lists
-from repro.service import StreamEngine, StreamServer
+from repro.service import HttpFrontend, StreamEngine, StreamServer
 
 
 # -- latency math -------------------------------------------------------------
@@ -119,7 +120,7 @@ def _result_from(seq, batches, *, buckets=8, method="min-merge"):
     return ClientResult(
         stream="s",
         method=method,
-        transport="json",
+        transport="binary",
         batches=batches,
         served_segments=_segments_as_lists(oracle),
         served_error=oracle.error,
@@ -184,7 +185,7 @@ class TestVerifyStream:
             verify_stream(_result_from(torn, batches), buckets=8)
 
     def test_rejects_missing_final_state(self):
-        result = ClientResult(stream="s", method="min-merge", transport="json")
+        result = ClientResult(stream="s", method="min-merge", transport="binary")
         with pytest.raises(LoadVerificationError):
             verify_stream(result, buckets=8)
 
@@ -193,12 +194,19 @@ class TestVerifyStream:
 
 
 class TestLiveLoad:
+    def test_unknown_transport_rejected(self):
+        with pytest.raises(InvalidParameterError, match="json"):
+            LoadGenerator(port=1, transports=("binary", "json"))
+
     def test_small_run_verifies_against_oracle(self):
         engine = StreamEngine(workers=0, max_pending=10_000_000)
         server = StreamServer(engine).start_in_background()
+        front = HttpFrontend(engine).start_in_background()
         try:
             generator = LoadGenerator(
                 port=server.port,
+                http_port=front.port,
+                transports=("binary", "rest"),
                 clients=8,
                 batches_per_client=4,
                 batch_size=50,
@@ -214,13 +222,14 @@ class TestLiveLoad:
             assert len(verified) == 8
             # Mixed transports and methods actually ran.
             assert {r.transport for r in report.per_client} == {
-                "json",
                 "binary",
+                "rest",
             }
             assert {r.method for r in report.per_client} == {
                 "min-merge",
                 "min-increment",
             }
         finally:
+            front.stop()
             server.stop()
             engine.close()

@@ -12,12 +12,13 @@ Covers the service contracts documented in ``docs/SERVICE.md``:
   :class:`BackpressureError` without ingesting anything;
 * crash recovery -- a fault injected mid-checkpoint loses nothing: a new
   engine over the same directory resumes bit-exactly;
-* the JSON-over-TCP wire front and its error codes.
+* the binary TCP and REST fronts and their shared error codes.
 """
 
 import itertools
 import json
 import os
+import socket
 import threading
 
 import pytest
@@ -31,11 +32,13 @@ from repro.exceptions import (
 )
 from repro.resilience import FaultPlan, ItemJournal
 from repro.service import (
+    HttpFrontend,
     ServiceClient,
     ServiceError,
     Session,
     StreamEngine,
     StreamServer,
+    wire,
 )
 from repro.service.engine import _MANIFEST, _tenant_dirname
 
@@ -338,20 +341,25 @@ class TestEngineApi:
 
 
 class TestWireProtocol:
-    """Wire-front contracts, run over both negotiated transports.
+    """Service contracts, run over both client surfaces.
 
-    The framing internals (frame layout, truncation, fragmentation,
-    mixed-protocol bit-identity) live in ``tests/test_wire.py``; this
-    class pins the request/response semantics shared by both protocols.
+    The framing internals (frame layout, truncation, fragmentation)
+    live in ``tests/test_wire.py``; this class pins the
+    request/response semantics shared by binary TCP and REST.
     """
 
-    @pytest.fixture(params=["json", "binary"])
+    @pytest.fixture(params=["binary", "rest"])
     def service(self, request):
         engine = StreamEngine(workers=1)
         server = StreamServer(engine).start_in_background()
-        client = ServiceClient(port=server.port, transport=request.param)
+        front = HttpFrontend(engine).start_in_background()
+        if request.param == "binary":
+            client = ServiceClient(port=server.port)
+        else:
+            client = ServiceClient.from_url(f"http://127.0.0.1:{front.port}")
         yield client, engine, server
         client.close()
+        front.stop()
         server.stop()
         engine.close()
 
@@ -374,16 +382,10 @@ class TestWireProtocol:
     def test_negotiated_transport_is_visible(self, service):
         client, _engine, _server = service
         info = client.info
-        if info.negotiated:
-            assert info.proto == 2
-            assert info.protocols == (1, 2)
-            assert info.server == "repro-histogram"
-            assert info.wire_version == 1
-        else:
-            # transport="json" skips hello entirely (the v1-compatible
-            # mode); the connection is pinned to protocol 1.
-            assert info.proto == 1
-            assert info.protocols == (1,)
+        assert info.proto == client.transport.proto
+        assert info.protocols == (info.proto,)
+        assert info.server == "repro-histogram"
+        assert info.wire_version == 1
 
     def test_scalar_and_ndarray_appends_unify(self, service):
         np = pytest.importorskip("numpy")
@@ -410,11 +412,7 @@ class TestWireProtocol:
         with pytest.raises(TypeError, match="client.transport.call"):
             client.request({"op": "streams"})
         # Raw request objects still have an explicit escape hatch.
-        response = client.transport.call(
-            {"op": "append", "stream": "d", "values": [1, 2],
-             "method": "min-merge", "buckets": 4}
-        )
-        assert response["accepted"] == 2
+        client.append("d", [1, 2], method="min-merge", buckets=4)
         assert client.transport.call({"op": "streams"})["streams"] == ["d"]
 
     def test_error_codes(self, service):
@@ -442,26 +440,22 @@ class TestWireProtocol:
         assert client.query("f", drain=True).histogram.meta.items_seen == 1
 
     def test_malformed_requests(self, service):
-        import socket as socket_mod
-
         client, _engine, server = service
-        # A raw junk line on a fresh connection (transport-independent:
-        # every connection starts in JSON mode).
-        with socket_mod.create_connection(
+        # A raw junk line on a fresh TCP connection: one error frame.
+        with socket.create_connection(
             ("127.0.0.1", server.port), timeout=10.0
         ) as raw:
             raw.sendall(b"this is not json\n")
-            response = json.loads(raw.makefile("rb").readline())
-        assert response == {
-            "ok": False,
-            "error": "bad-request",
-            "message": "request is not valid JSON",
-        }
-        # An op-less payload sent raw through the transport earns the
-        # server's bad-request, exactly as in v1.
+            response = _read_error_frame(raw)
+        assert response["error"] == "bad-request"
+        assert "protocol 1" in response["message"]
+        # An op-less payload sent raw through the transport is refused:
+        # by the TCP server as bad-request, by the REST client (which
+        # has no route for it) as unknown-op.
         with pytest.raises(ServiceError) as excinfo:
             client.transport.call({"no-op": 1})
-        assert excinfo.value.code == "bad-request"
+        expected = "bad-request" if client.info.proto == 2 else "unknown-op"
+        assert excinfo.value.code == expected
 
     def test_wire_backpressure_code(self):
         gate = threading.Event()
@@ -480,17 +474,61 @@ class TestWireProtocol:
             server.stop()
             engine.close()
 
-    def test_json_only_server_falls_back(self):
+    @pytest.mark.parametrize(
+        "line",
+        [b"{}\n", b'{"op":"ping"}\n', b'{"op":"hello","proto":[1,2]}\n'],
+        ids=["empty-object", "ping", "hello"],
+    )
+    def test_legacy_json_line_gets_one_error_frame_then_eof(self, line):
         engine = StreamEngine()
-        server = StreamServer(engine, protocols=(1,)).start_in_background()
+        server = StreamServer(engine).start_in_background()
         try:
-            with ServiceClient(port=server.port) as client:
-                assert client.info.proto == 1
-                assert client.info.protocols == (1,)
-                assert client.append("j", [1, 2], method="min-merge",
-                                     buckets=4).accepted == 2
-            with pytest.raises(ServiceError, match="binary"):
-                ServiceClient(port=server.port, transport="binary")
+            with socket.create_connection(
+                ("127.0.0.1", server.port), timeout=1.0
+            ) as raw:
+                raw.sendall(line)
+                response = _read_error_frame(raw)
+                assert response["error"] == "bad-request"
+                assert "protocol 1" in response["message"]
+                assert raw.recv(1) == b""  # closed, not hung
         finally:
             server.stop()
             engine.close()
+
+    def test_json_valued_append_over_tcp_is_unknown_op(self):
+        engine = StreamEngine()
+        server = StreamServer(engine).start_in_background()
+        try:
+            with ServiceClient(port=server.port) as client:
+                with pytest.raises(ServiceError) as excinfo:
+                    client.transport.call(
+                        {"op": "append", "stream": "j", "values": [1, 2],
+                         "method": "min-merge", "buckets": 4}
+                    )
+                assert excinfo.value.code == "unknown-op"
+                assert client.streams() == ()
+        finally:
+            server.stop()
+            engine.close()
+
+    def test_retired_transport_values_raise(self):
+        for transport in ("json", "auto"):
+            with pytest.raises(InvalidParameterError, match="protocol 1"):
+                ServiceClient(port=1, transport=transport)
+
+
+def _read_error_frame(sock) -> dict:
+    """Read exactly one frame from a raw socket; it must be ``OP_ERR``."""
+    buf = b""
+    while len(buf) < wire.HEADER_BYTES:
+        chunk = sock.recv(wire.HEADER_BYTES - len(buf))
+        assert chunk, "connection closed before the error frame"
+        buf += chunk
+    opcode, length = wire.decode_header(buf)
+    assert opcode == wire.OP_ERR
+    payload = b""
+    while len(payload) < length:
+        chunk = sock.recv(length - len(payload))
+        assert chunk, "connection closed mid-frame"
+        payload += chunk
+    return wire.decode_json_payload(payload)

@@ -1,4 +1,4 @@
-"""Tests for the binary wire protocol (framing, transports, negotiation).
+"""Tests for the binary wire protocol (framing, transport, ``hello``).
 
 Covers the contracts documented in ``docs/WIRE.md``:
 
@@ -7,15 +7,14 @@ Covers the contracts documented in ``docs/WIRE.md``:
   value region, non-finite payloads) maps to a clean ``bad-request``;
 * the zero-copy append path: the decoded ndarray is a read-only view
   over the frame payload, no copies on either side;
-* both client transports survive deliberately fragmenting sockets
+* the client transport survives deliberately fragmenting sockets
   (single-byte reads, chopped writes);
-* protocol negotiation, including fallback against a JSON-only server
-  and rejection of binary frames sent before negotiation;
-* mixed-protocol bit-identity: JSON and binary clients interleaved on
-  one stream produce the exact ``summarize()`` histogram.
+* frames from the first byte: ``hello`` is an ordinary op, and a
+  ``hello`` that does not offer protocol 2 is refused;
+* bit-identity: list and ndarray appends from several connections
+  interleaved on one stream produce the exact ``summarize()`` histogram.
 """
 
-import json
 import socket
 import struct
 
@@ -25,14 +24,12 @@ import pytest
 from repro.api import summarize
 from repro.service import (
     BinaryTransport,
-    JsonTransport,
     ServiceClient,
-    ServiceError,
     StreamEngine,
     StreamServer,
 )
 from repro.service import wire
-from repro.service.client import _BufferedSocket, negotiate_transport
+from repro.service.client import _BufferedSocket
 from repro.service.wire import WireError
 
 
@@ -155,21 +152,6 @@ class TestAppendPayload:
             wire.encode_append_payload({"stream": "s"}, np.zeros((2, 2)))
 
 
-class TestNegotiateFunction:
-    def test_picks_highest_common(self):
-        assert wire.negotiate([1, 2], (1, 2)) == 2
-        assert wire.negotiate([1], (1, 2)) == 1
-        assert wire.negotiate([2, 1], (1,)) == 1
-
-    def test_unknown_protocols_ignored(self):
-        assert wire.negotiate([1, 2, 3, 99], (1, 2)) == 2
-
-    def test_disjoint_is_none(self):
-        assert wire.negotiate([3], (1, 2)) is None
-        assert wire.negotiate([], (1, 2)) is None
-        assert wire.negotiate("junk-type", (1, 2)) in (None, 1)
-
-
 class _FragmentingSocket:
     """Socket shim that dribbles I/O in tiny chunks (worst-case TCP)."""
 
@@ -207,17 +189,13 @@ def _connect(server, **kwargs):
 
 
 class TestFragmentation:
-    """Both transports must be correct over arbitrarily fragmented links."""
+    """The transport must be correct over arbitrarily fragmented links."""
 
-    @pytest.mark.parametrize("prefer", ["json", "binary"])
-    def test_transport_over_fragmenting_socket(self, server, prefer):
+    def test_transport_over_fragmenting_socket(self, server):
         shim = _FragmentingSocket(_connect(server), chunk=3)
-        transport, info = negotiate_transport(shim, prefer=prefer)
+        transport = BinaryTransport(shim)
         try:
-            expected_cls = (
-                JsonTransport if prefer == "json" else BinaryTransport
-            )
-            assert isinstance(transport, expected_cls)
+            assert transport.hello().proto == wire.PROTO_BINARY
             values = _dataset(500)
             response = transport.append(
                 "frag", values, {"method": "min-merge", "buckets": 8}
@@ -232,7 +210,7 @@ class TestFragmentation:
         finally:
             transport.close()
 
-    def test_recv_exactly_and_recv_line_reassemble(self):
+    def test_recv_exactly_reassembles(self):
         class Dribble:
             def __init__(self, chunks):
                 self._chunks = list(chunks)
@@ -247,7 +225,7 @@ class TestFragmentation:
                 pass
 
         io = _BufferedSocket(Dribble([b"he", b"llo\nwor", b"ld!"]))
-        assert io.recv_line(1024) == b"hello\n"
+        assert io.recv_exactly(6) == b"hello\n"
         assert io.recv_exactly(6) == b"world!"
         with pytest.raises(ConnectionError, match="closed"):
             io.recv_exactly(1)
@@ -274,23 +252,26 @@ class TestFragmentation:
             io.recv_exactly(8)
 
 
+def _read_frame(io) -> tuple[int, dict]:
+    opcode, length = wire.decode_header(io.recv_exactly(wire.HEADER_BYTES))
+    return opcode, wire.decode_json_payload(io.recv_exactly(length))
+
+
 class TestServerFraming:
     def _negotiate_binary(self, server):
-        sock = _connect(server)
-        io = _BufferedSocket(sock)
-        io.send_all(b'{"op": "hello", "proto": [1, 2]}\n')
-        response = json.loads(io.recv_line(1 << 16))
-        assert response["ok"] and response["proto"] == 2
+        io = _BufferedSocket(_connect(server))
+        io.send_all(
+            wire.encode_json_frame(wire.OP_JSON, {"op": "hello", "proto": [2]})
+        )
+        opcode, response = _read_frame(io)
+        assert opcode == wire.OP_OK and response["proto"] == 2
         return io
 
-    def test_binary_frame_before_negotiation_is_refused(self, server):
-        sock = _connect(server)
-        io = _BufferedSocket(sock)
+    def test_frames_from_the_first_byte(self, server):
+        io = _BufferedSocket(_connect(server))
         io.send_all(wire.encode_json_frame(wire.OP_JSON, {"op": "ping"}))
-        response = json.loads(io.recv_line(1 << 16))
-        assert response["ok"] is False
-        assert response["error"] == "bad-request"
-        assert "hello" in response["message"]
+        opcode, response = _read_frame(io)
+        assert opcode == wire.OP_OK and response["pong"] is True
         io.close()
 
     def test_bad_magic_after_negotiation_errors_and_closes(self, server):
@@ -360,42 +341,50 @@ class TestServerFraming:
         io.close()
 
     def test_no_common_protocol_is_bad_request(self, server):
-        sock = _connect(server)
-        io = _BufferedSocket(sock)
-        io.send_all(b'{"op": "hello", "proto": [42]}\n')
-        response = json.loads(io.recv_line(1 << 16))
-        assert response["ok"] is False
-        assert response["error"] == "bad-request"
-        assert "no common protocol" in response["message"]
+        io = _BufferedSocket(_connect(server))
+        # Protocol 1 is retired, so offering only it fails like any other
+        # disjoint offer; a payload error keeps the connection open.
+        for offered in ([42], [1]):
+            io.send_all(
+                wire.encode_json_frame(
+                    wire.OP_JSON, {"op": "hello", "proto": offered}
+                )
+            )
+            opcode, response = _read_frame(io)
+            assert opcode == wire.OP_ERR
+            assert response["error"] == "bad-request"
+            assert "no common protocol" in response["message"]
         io.close()
 
 
-class TestMixedProtocols:
-    def test_json_and_binary_clients_bit_identical_to_summarize(self):
-        """JSON and binary connections interleaved on one stream must
-        build the exact summarize() histogram: ints below 2**53 are
-        exact in float64 and bucket arithmetic is float throughout."""
+class TestInterleavedClients:
+    def test_interleaved_clients_bit_identical_to_summarize(self):
+        """List and ndarray appends from two connections interleaved on
+        one stream must build the exact summarize() histogram: ints
+        below 2**53 are exact in float64 and bucket arithmetic is float
+        throughout."""
         engine = StreamEngine(workers=1)
         srv = StreamServer(engine).start_in_background()
         values = _dataset(4000)
         try:
-            with ServiceClient(port=srv.port, transport="json") as cj, \
-                    ServiceClient(port=srv.port, transport="binary") as cb:
-                assert cj.info.proto == 1
-                assert cb.info.proto == 2
+            with ServiceClient(port=srv.port) as c1, \
+                    ServiceClient(port=srv.port) as c2:
                 chunk = 250
                 for i, off in enumerate(range(0, len(values), chunk)):
-                    client = cj if i % 2 == 0 else cb
                     part = values[off : off + chunk]
+                    if i % 2 == 0:
+                        client = c1
+                    else:
+                        client, part = c2, np.asarray(part, dtype="<f8")
                     result = client.append(
                         "mixed", part, method="min-merge", buckets=8,
                         universe=512,
                     )
                     assert result.accepted == len(part)
-                    # Lockstep: drain before the other protocol appends,
+                    # Lockstep: drain before the other client appends,
                     # so arrival order equals submission order.
                     engine.drain()
-                hist = cb.query("mixed", drain=True).histogram
+                hist = c2.query("mixed", drain=True).histogram
                 oracle = summarize(values, 8, method="min-merge")
                 assert hist.segments == oracle.segments
                 assert hist.error == oracle.error
@@ -404,16 +393,15 @@ class TestMixedProtocols:
             srv.stop()
             engine.close()
 
-    def test_binary_append_matches_json_append_exactly(self, server):
+    def test_list_append_matches_ndarray_append_exactly(self, server):
         values = _dataset(1500)
-        with ServiceClient(port=server.port, transport="json") as cj:
-            cj.append("vj", values, method="min-merge", buckets=8)
-            hj = cj.query("vj", drain=True).histogram
-        with ServiceClient(port=server.port, transport="binary") as cb:
-            cb.append(
-                "vb", np.asarray(values, dtype="<f8"), method="min-merge",
+        with ServiceClient(port=server.port) as client:
+            client.append("vl", values, method="min-merge", buckets=8)
+            client.append(
+                "va", np.asarray(values, dtype="<f8"), method="min-merge",
                 buckets=8,
             )
-            hb = cb.query("vb", drain=True).histogram
-        assert hj.segments == hb.segments
-        assert hj.error == hb.error
+            hl = client.query("vl", drain=True).histogram
+            ha = client.query("va", drain=True).histogram
+        assert hl.segments == ha.segments
+        assert hl.error == ha.error
