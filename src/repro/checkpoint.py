@@ -173,21 +173,19 @@ def _min_merge_state(summary: MinMergeHistogram) -> dict:
         "buckets": summary.target_buckets,
         "working_buckets": summary.working_buckets,
         "findmin": summary.findmin,
-        "backend": summary.backend,
         "items_seen": summary.items_seen,
         "bucket_list": [_bucket_tuple(b) for b in summary.buckets_snapshot()],
     }
 
 
 def _restore_min_merge(state: dict) -> MinMergeHistogram:
-    # The bucket list is the whole algorithmic state, and adopt_buckets
-    # rebuilds any backend's internals from it -- so a checkpoint written
-    # by one backend restores under the other (flip state["backend"]).
+    # The bucket list is the whole algorithmic state; adopt_buckets
+    # rebuilds the pair-key heap from it.  A "backend" key written by
+    # older checkpoints named an equivalent kernel and is ignored.
     summary = MinMergeHistogram(
         buckets=state["buckets"],
         working_buckets=state["working_buckets"],
         findmin=state["findmin"],
-        backend=state.get("backend", "object"),
     )
     summary.adopt_buckets(
         [Bucket(beg, end, lo, hi) for beg, end, lo, hi in state["bucket_list"]],
@@ -331,19 +329,17 @@ def _pwl_min_merge_state(summary: PwlMinMergeHistogram) -> dict:
         "buckets": summary.target_buckets,
         "working_buckets": summary.working_buckets,
         "hull_epsilon": summary.hull_epsilon,
-        "backend": summary.backend,
         "items_seen": summary.items_seen,
         "bucket_list": [b.to_state() for b in summary.buckets_snapshot()],
     }
 
 
 def _restore_pwl_min_merge(state: dict) -> PwlMinMergeHistogram:
-    # Backend-agnostic for the same reason as _restore_min_merge.
+    # Any legacy "backend" key is ignored, as in _restore_min_merge.
     summary = PwlMinMergeHistogram(
         buckets=state["buckets"],
         working_buckets=state["working_buckets"],
         hull_epsilon=state["hull_epsilon"],
-        backend=state.get("backend", "object"),
     )
     summary.adopt_buckets(
         [PwlBucket.from_state(item) for item in state["bucket_list"]],

@@ -226,10 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="registry method to drive (default: min-merge)",
     )
     scenario_run.add_argument(
-        "--backend", default="object", choices=("object", "soa"),
-        help="summary backend (soa requires a merge-capable method)",
-    )
-    scenario_run.add_argument(
         "--workers", type=int, default=None,
         help="shard ingest across N workers (merge-capable methods only)",
     )
@@ -616,7 +612,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         spec,
         args.method,
         target=args.target,
-        backend=args.backend,
         workers=args.workers,
     )
     conformance = None
@@ -632,7 +627,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         f"scenario    : {spec.name} ({report.items:,} items, "
         f"{len(report.streams)} stream(s))",
         f"method      : {args.method} (B={spec.buckets}, "
-        f"backend={args.backend}, target={args.target}"
+        f"target={args.target}"
         + (f", workers={args.workers}" if args.workers else "")
         + (f", window={spec.window}" if spec.window else "")
         + ")",

@@ -85,11 +85,7 @@ def merge_min_merge_summaries(
     if buckets is None:
         buckets = min(s.target_buckets for s in summaries)
     merged = MinMergeHistogram(
-        buckets=buckets,
-        metrics=_combined_metrics_arg(summaries, metrics),
-        # The merged summary inherits the first child's maintenance kernel
-        # so a parallel run stays on the backend the caller selected.
-        backend=getattr(summaries[0], "backend", "object"),
+        buckets=buckets, metrics=_combined_metrics_arg(summaries, metrics)
     )
     offset = 0
     expected_next = None
@@ -135,7 +131,6 @@ def merge_pwl_summaries(
         buckets=buckets,
         hull_epsilon=hull_epsilon,
         metrics=_combined_metrics_arg(summaries, metrics),
-        backend=getattr(summaries[0], "backend", "object"),
     )
     offset = 0
     expected_next = None

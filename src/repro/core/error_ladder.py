@@ -23,6 +23,11 @@ from typing import Iterator, Sequence
 
 from repro.exceptions import InvalidParameterError
 
+#: Most levels a ladder may hold.  Each level backs one summary, so the
+#: count bounds a stream's memory and build time; ``epsilon=1e-4`` at the
+#: default universe ``2**15`` needs about 97k levels.
+MAX_LADDER_LEVELS = 1 << 17
+
 
 class ErrorLadder(Sequence):
     """Immutable ascending sequence of target errors.
@@ -54,6 +59,17 @@ class ErrorLadder(Sequence):
         if universe < 2:
             raise InvalidParameterError(
                 f"universe must be at least 2, got {universe}"
+            )
+        fixed = 2 if include_zero_level else 0
+        # Closed-form count first: a tiny epsilon (or one where
+        # 1 + epsilon == 1.0) would otherwise spin the loop below for
+        # millions of steps, or forever.
+        count = fixed + self.expected_size(epsilon, universe)
+        if count > MAX_LADDER_LEVELS:
+            raise InvalidParameterError(
+                f"epsilon={epsilon} with universe={universe} needs {count} "
+                f"ladder levels, more than the {MAX_LADDER_LEVELS} allowed; "
+                "use a larger epsilon"
             )
         self.epsilon = epsilon
         self.universe = universe
@@ -100,4 +116,4 @@ class ErrorLadder(Sequence):
         """The O(eps^-1 log U) level count the theory predicts (no zero level)."""
         if universe <= 2:
             return 1
-        return 1 + math.ceil(math.log(universe / 2.0) / math.log(1.0 + epsilon))
+        return 1 + math.ceil(math.log(universe / 2.0) / math.log1p(epsilon))

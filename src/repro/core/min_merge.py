@@ -28,7 +28,6 @@ import numpy as np
 from repro.core.batch import MAX_WINDOW, as_batch_array
 from repro.core.bucket import Bucket
 from repro.core.histogram import Histogram, Segment
-from repro.core.soa import SoaMinMerge
 from repro.exceptions import EmptySummaryError, InvalidParameterError
 from repro.memory.model import DEFAULT_MODEL, MemoryModel
 from repro.observability.hooks import SummaryMetrics, resolve_metrics
@@ -61,14 +60,6 @@ class MinMergeHistogram:
         Opt-in instrumentation: ``True`` for a private registry, or a
         shared :class:`~repro.observability.MetricsRegistry`; default off
         (see ``docs/OBSERVABILITY.md``).
-    backend:
-        ``"object"`` (default) keeps the linked ``Bucket`` nodes and the
-        addressable heap of the original implementation; ``"soa"`` runs
-        the same algorithm on the structure-of-arrays kernel
-        (:mod:`repro.core.soa`) -- flat columns plus a lazy-deletion C
-        heap, several times faster per item and bit-identical in every
-        observable (buckets, error, histogram, checkpoints, merges).
-        ``"soa"`` requires ``findmin="heap"``.
 
     Examples
     --------
@@ -88,7 +79,6 @@ class MinMergeHistogram:
         findmin: str = "heap",
         memory_model: MemoryModel = DEFAULT_MODEL,
         metrics=None,
-        backend: str = "object",
     ):
         if buckets < 1:
             raise InvalidParameterError(f"buckets must be >= 1, got {buckets}")
@@ -102,23 +92,10 @@ class MinMergeHistogram:
             raise InvalidParameterError(
                 f"findmin must be 'heap' or 'linear', got {findmin!r}"
             )
-        if backend not in ("object", "soa"):
-            raise InvalidParameterError(
-                f"backend must be 'object' or 'soa', got {backend!r}"
-            )
-        if backend == "soa" and findmin != "heap":
-            raise InvalidParameterError(
-                "backend='soa' implements FINDMIN with its lazy heap; "
-                "combine findmin='linear' with backend='object'"
-            )
         self.target_buckets = buckets
         self.working_buckets = working_buckets
         self.findmin = findmin
-        self.backend = backend
         self._model = memory_model
-        # _soa must exist before the first ``self._n`` assignment: the
-        # items-seen counter is a property that forwards into the kernel.
-        self._soa = SoaMinMerge(working_buckets) if backend == "soa" else None
         self._list = BucketList()
         self._heap = AddressableMinHeap()
         self._n = 0
@@ -129,36 +106,11 @@ class MinMergeHistogram:
             # the instance keeps the uninstrumented insert() below exactly
             # the seed implementation -- zero overhead when disabled.
             self.insert = self._insert_observed
-        elif self._soa is not None:
-            # Uninstrumented SoA ingest skips the facade frame entirely:
-            # the kernel's insert is the whole per-item path.
-            self.insert = self._soa.insert
-
-    # ``_n`` (items seen) lives inside the kernel under backend="soa" so
-    # the hot loops touch a single counter; external collaborators (the
-    # parallel shard builder, checkpoint restore) assign ``summary._n``
-    # directly, so the facade forwards both directions.
-    @property
-    def _n(self) -> int:
-        soa = self._soa
-        return soa.n if soa is not None else self.__count
-
-    @_n.setter
-    def _n(self, value: int) -> None:
-        soa = self._soa
-        if soa is not None:
-            soa.n = value
-        else:
-            self.__count = value
 
     # -- stream ingestion --------------------------------------------------
 
     def insert(self, value) -> None:
         """Process the next stream value (Algorithm 1)."""
-        soa = self._soa
-        if soa is not None:
-            soa.insert(value)
-            return
         node = self._list.append(Bucket.singleton(self._n, value))
         prev = node.prev
         if prev is not None and self.findmin == "heap":
@@ -173,12 +125,6 @@ class MinMergeHistogram:
     def _insert_observed(self, value) -> None:
         """Instrumented twin of :meth:`insert` (same algorithm + hooks)."""
         start = perf_counter()
-        soa = self._soa
-        if soa is not None:
-            if soa.insert(value):
-                self._metrics.on_merge()
-            self._metrics.on_insert(latency=perf_counter() - start)
-            return
         node = self._list.append(Bucket.singleton(self._n, value))
         prev = node.prev
         if prev is not None and self.findmin == "heap":
@@ -213,11 +159,9 @@ class MinMergeHistogram:
             return
         observe = self._metrics is not None
         start = perf_counter() if observe else 0.0
-        soa = self._soa
-        chunk = soa.extend_chunk if soa is not None else self._extend_chunk
         merges = 0
         for off in range(0, n, MAX_WINDOW):
-            merges += chunk(arr[off : off + MAX_WINDOW])
+            merges += self._extend_chunk(arr[off : off + MAX_WINDOW])
         if observe:
             if merges:
                 self._metrics.on_merge(merges)
@@ -234,9 +178,6 @@ class MinMergeHistogram:
         untouched pair -- leaving the summary exactly as if each value had
         been inserted.  Returns False (summary untouched) otherwise.
         """
-        soa = self._soa
-        if soa is not None:
-            return soa.insert_run(beg, end, lo, hi)
         if beg != self._n:
             raise InvalidParameterError(
                 f"run starts at {beg}, summary expects {self._n}"
@@ -396,10 +337,6 @@ class MinMergeHistogram:
         ``count`` (default: the covered index span).  No compaction happens
         here -- call :meth:`compact` to re-establish the working budget.
         """
-        soa = self._soa
-        if soa is not None:
-            soa.adopt_buckets(buckets, count)
-            return
         last = self._list.tail.bucket.end if len(self._list) else None
         span = 0
         for bucket in buckets:
@@ -423,9 +360,6 @@ class MinMergeHistogram:
         Returns the number of merges performed.  A no-op on summaries
         already within ``working_buckets``.
         """
-        soa = self._soa
-        if soa is not None:
-            return soa.compact()
         merges = 0
         while len(self._list) > self.working_buckets:
             if self.findmin == "heap":
@@ -450,41 +384,23 @@ class MinMergeHistogram:
     @property
     def bucket_count(self) -> int:
         """Current number of working buckets."""
-        soa = self._soa
-        return soa.size if soa is not None else len(self._list)
+        return len(self._list)
 
     @property
     def error(self) -> float:
         """Current summary error ``err(S)`` -- the largest bucket error."""
-        soa = self._soa
-        if soa is not None:
-            if soa.size == 0:
-                raise EmptySummaryError("no values inserted yet")
-            return soa.error()
         if not self._list:
             raise EmptySummaryError("no values inserted yet")
         return max(node.bucket.error for node in self._list)
 
     def buckets_snapshot(self) -> list[Bucket]:
         """Copy of the current buckets, in stream order."""
-        soa = self._soa
-        if soa is not None:
-            return soa.buckets_snapshot()
         return [
             Bucket(b.beg, b.end, b.min, b.max) for b in self._list.buckets()
         ]
 
     def histogram(self) -> Histogram:
         """The current piecewise-constant approximation."""
-        soa = self._soa
-        if soa is not None:
-            if soa.size == 0:
-                raise EmptySummaryError("no values inserted yet")
-            segments = [
-                Segment(b, e, (hi + lo) / 2.0, (hi + lo) / 2.0)
-                for b, e, lo, hi in soa.iter_buckets()
-            ]
-            return Histogram(segments, soa.error())
         if not self._list:
             raise EmptySummaryError("no values inserted yet")
         segments = [
@@ -494,17 +410,7 @@ class MinMergeHistogram:
         return Histogram(segments, self.error)
 
     def memory_bytes(self) -> int:
-        """Accounted memory: buckets plus heap entries (Section 2.1.1).
-
-        Under ``backend="soa"`` the heap term counts the lazy heap's
-        actual entries (stale included) -- the honest figure; compaction
-        bounds it at a small multiple of the pair count.
-        """
-        soa = self._soa
-        if soa is not None:
-            return self._model.buckets(soa.size) + self._model.heap_entries(
-                len(soa.heap)
-            )
+        """Accounted memory: buckets plus heap entries (Section 2.1.1)."""
         return self._model.buckets(len(self._list)) + self._model.heap_entries(
             len(self._heap)
         )
@@ -518,26 +424,23 @@ class MinMergeHistogram:
         holds after every completed insert (before the summary fills, all
         buckets are singletons with err(S) = 0 and it holds vacuously).
         """
-        if self.bucket_count < 2:
+        if len(self._list) < 2:
             return
         current = self.error
-        snapshot = self.buckets_snapshot()
-        for left, right in zip(snapshot, snapshot[1:]):
-            pair_error = left.merge_error_with(right)
+        for node in self._list:
+            if node.next is None:
+                continue
+            pair_error = node.bucket.merge_error_with(node.next.bucket)
             if pair_error >= current:
                 continue
             raise AssertionError(
-                f"min-merge property violated: pair at [{left.beg},"
-                f"{right.end}] merges with error {pair_error} "
+                f"min-merge property violated: pair at [{node.bucket.beg},"
+                f"{node.next.bucket.end}] merges with error {pair_error} "
                 f"< err(S) = {current}"
             )
 
     def check_heap_consistency(self) -> None:
         """Assert every adjacent pair has a correct key in the heap (tests)."""
-        soa = self._soa
-        if soa is not None:
-            soa.check_consistency()
-            return
         if self.findmin == "linear":
             if len(self._heap) != 0:
                 raise AssertionError("linear FINDMIN must not populate the heap")

@@ -22,7 +22,6 @@ from repro.core.batch import MAX_WINDOW, absorbable_prefix, as_batch_array
 from repro.core.histogram import Histogram
 from repro.core.interface import DEFAULT_HULL_EPSILON
 from repro.core.pwl_bucket import PwlBucket
-from repro.core.soa import SoaPwlMinMerge
 from repro.exceptions import EmptySummaryError, InvalidParameterError
 from repro.memory.model import DEFAULT_MODEL, MemoryModel
 from repro.observability.hooks import SummaryMetrics, resolve_metrics
@@ -52,12 +51,6 @@ class PwlMinMergeHistogram:
         Opt-in instrumentation: ``True`` for a private registry, or a
         shared :class:`~repro.observability.MetricsRegistry`; default off
         (see ``docs/OBSERVABILITY.md``).
-    backend:
-        ``"object"`` (default) keeps the linked nodes plus addressable
-        heap; ``"soa"`` runs the same algorithm on the
-        structure-of-arrays control plane (:mod:`repro.core.soa`) with
-        hull geometry unchanged -- bit-identical output, less per-item
-        interpreter overhead.
     """
 
     def __init__(
@@ -68,7 +61,6 @@ class PwlMinMergeHistogram:
         working_buckets: Optional[int] = None,
         memory_model: MemoryModel = DEFAULT_MODEL,
         metrics=None,
-        backend: str = "object",
     ):
         if buckets < 1:
             raise InvalidParameterError(f"buckets must be >= 1, got {buckets}")
@@ -78,45 +70,16 @@ class PwlMinMergeHistogram:
             raise InvalidParameterError(
                 f"working_buckets must be >= 1, got {working_buckets}"
             )
-        if backend not in ("object", "soa"):
-            raise InvalidParameterError(
-                f"backend must be 'object' or 'soa', got {backend!r}"
-            )
         self.target_buckets = buckets
         self.working_buckets = working_buckets
         self.hull_epsilon = hull_epsilon
-        self.backend = backend
         self._model = memory_model
-        # _soa must exist before the first ``self._n`` assignment: the
-        # items-seen counter is a property that forwards into the kernel.
-        self._soa = (
-            SoaPwlMinMerge(working_buckets, hull_epsilon)
-            if backend == "soa"
-            else None
-        )
         self._list = BucketList()
         self._heap = AddressableMinHeap()
         self._n = 0
         self._metrics = resolve_metrics(metrics)
         if self._metrics is not None:
             self._metrics.bind_gauges(self)
-
-    # ``_n`` (items seen) lives inside the kernel under backend="soa";
-    # external collaborators (the parallel shard builder, checkpoint
-    # restore) assign ``summary._n`` directly, so the facade forwards
-    # both directions.
-    @property
-    def _n(self) -> int:
-        soa = self._soa
-        return soa.n if soa is not None else self.__count
-
-    @_n.setter
-    def _n(self, value: int) -> None:
-        soa = self._soa
-        if soa is not None:
-            soa.n = value
-        else:
-            self.__count = value
 
     # -- ingestion ------------------------------------------------------------
 
@@ -132,9 +95,6 @@ class PwlMinMergeHistogram:
 
     def _insert_plain(self, value) -> bool:
         """Uninstrumented insert; returns whether a merge happened."""
-        soa = self._soa
-        if soa is not None:
-            return soa.insert(value)
         bucket = PwlBucket(self._n, value, hull_epsilon=self.hull_epsilon)
         node = self._list.append(bucket)
         if node.prev is not None:
@@ -170,11 +130,9 @@ class PwlMinMergeHistogram:
             return
         observe = self._metrics is not None
         start = perf_counter() if observe else 0.0
-        soa = self._soa
-        chunk = soa.extend_chunk if soa is not None else self._extend_chunk
         merges = 0
         for off in range(0, n, MAX_WINDOW):
-            merges += chunk(arr[off : off + MAX_WINDOW])
+            merges += self._extend_chunk(arr[off : off + MAX_WINDOW])
         if observe:
             if merges:
                 self._metrics.on_merge(merges)
@@ -270,10 +228,6 @@ class PwlMinMergeHistogram:
         the covered index span).  Call :meth:`compact` afterwards to
         re-establish the working budget.
         """
-        soa = self._soa
-        if soa is not None:
-            soa.adopt_buckets(buckets, count)
-            return
         last = self._list.tail.bucket.end if len(self._list) else None
         span = 0
         for bucket in buckets:
@@ -294,9 +248,6 @@ class PwlMinMergeHistogram:
 
         Returns the number of merges performed.
         """
-        soa = self._soa
-        if soa is not None:
-            return soa.compact()
         merges = 0
         while len(self._list) > self.working_buckets:
             self._merge_min_pair()
@@ -318,48 +269,28 @@ class PwlMinMergeHistogram:
     @property
     def bucket_count(self) -> int:
         """Current number of working buckets."""
-        soa = self._soa
-        return soa.size if soa is not None else len(self._list)
+        return len(self._list)
 
     @property
     def error(self) -> float:
         """Current summary error (largest bucket line-fit error)."""
-        soa = self._soa
-        if soa is not None:
-            if soa.size == 0:
-                raise EmptySummaryError("no values inserted yet")
-            return soa.error()
         if not self._list:
             raise EmptySummaryError("no values inserted yet")
         return max(node.bucket.error for node in self._list)
 
     def buckets_snapshot(self) -> list[PwlBucket]:
         """The current buckets, in stream order (shared, do not mutate)."""
-        soa = self._soa
-        if soa is not None:
-            return soa.buckets_snapshot()
         return self._list.buckets()
 
     def histogram(self) -> Histogram:
         """The current piecewise-linear approximation."""
-        if self.bucket_count == 0:
+        if not self._list:
             raise EmptySummaryError("no values inserted yet")
-        segments = [bucket.segment() for bucket in self.buckets_snapshot()]
+        segments = [node.bucket.segment() for node in self._list]
         return Histogram(segments, self.error)
 
     def memory_bytes(self) -> int:
-        """Accounted memory: bucket headers, hull vertices, heap entries.
-
-        Under ``backend="soa"`` the heap term counts the lazy heap's
-        actual entries (stale included); compaction bounds it at a small
-        multiple of the pair count.
-        """
-        soa = self._soa
-        if soa is not None:
-            total = self._model.heap_entries(len(soa.heap))
-            for bucket in soa.buckets_snapshot():
-                total += bucket.memory_bytes(self._model)
-            return total
+        """Accounted memory: bucket headers, hull vertices, heap entries."""
         total = self._model.heap_entries(len(self._heap))
         for node in self._list:
             total += node.bucket.memory_bytes(self._model)
@@ -372,18 +303,19 @@ class PwlMinMergeHistogram:
         holds up to the hull width slack, so the check allows a
         ``(1 - hull_epsilon)`` margin.
         """
-        if self.bucket_count < 2:
+        if len(self._list) < 2:
             return
         slack = 1.0 if self.hull_epsilon is None else 1.0 - self.hull_epsilon
         current = self.error
-        snapshot = self.buckets_snapshot()
-        for left, right in zip(snapshot, snapshot[1:]):
-            pair_error = left.merge_error_with(right)
+        for node in self._list:
+            if node.next is None:
+                continue
+            pair_error = node.bucket.merge_error_with(node.next.bucket)
             if pair_error >= slack * current - 1e-9:
                 continue
             raise AssertionError(
-                f"PWL min-merge property violated: pair at [{left.beg},"
-                f"{right.end}] merges with error {pair_error} "
+                f"PWL min-merge property violated: pair at [{node.bucket.beg},"
+                f"{node.next.bucket.end}] merges with error {pair_error} "
                 f"< {slack} * err(S) = {slack * current}"
             )
 

@@ -193,7 +193,6 @@ def _make_summary(spec: dict, metrics, start: int):
             working_buckets=spec["working_buckets"],
             findmin=spec["findmin"],
             metrics=metrics,
-            backend=spec.get("backend", "object"),
         )
     else:
         summary = PwlMinMergeHistogram(
@@ -201,7 +200,6 @@ def _make_summary(spec: dict, metrics, start: int):
             working_buckets=spec["working_buckets"],
             hull_epsilon=spec["hull_epsilon"],
             metrics=metrics,
-            backend=spec.get("backend", "object"),
         )
     # Shards share the stream's global index space, so the merge operator
     # can verify contiguity instead of being told to reindex.
@@ -294,11 +292,9 @@ class ParallelSummarizer:
         Merge-tree fan-in (default 2 = pairwise log-depth).  Larger arity
         trades tree depth for per-node reduction width; ``arity >= P``
         degenerates to one flat fold.
-    working_buckets, hull_epsilon, findmin, summary_backend:
+    working_buckets, hull_epsilon, findmin:
         Forwarded to the shard summaries (``hull_epsilon``/``findmin``
-        apply to their family only; ``summary_backend`` selects the
-        maintenance kernel, ``"object"`` or ``"soa"`` -- not to be
-        confused with ``backend``, which schedules the pool).
+        apply to their family only).
     serial_cutoff:
         Items per worker below which ``"auto"`` stays serial; defaults to
         a per-method profile (:data:`_AUTO_CUTOFF`).
@@ -338,7 +334,6 @@ class ParallelSummarizer:
         working_buckets: Optional[int] = None,
         hull_epsilon: Optional[float] = DEFAULT_HULL_EPSILON,
         findmin: str = "heap",
-        summary_backend: str = "object",
         serial_cutoff: Optional[int] = None,
         metrics=None,
         max_shard_retries: int = 2,
@@ -395,7 +390,6 @@ class ParallelSummarizer:
             "working_buckets": working_buckets,
             "hull_epsilon": hull_epsilon,
             "findmin": findmin,
-            "backend": summary_backend,
             "instrument": False,
         }
         # Validate the configuration eagerly, like StreamFleet does.

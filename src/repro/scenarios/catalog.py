@@ -61,11 +61,11 @@ def resolve_spec(ref: str) -> ScenarioSpec:
 
 
 def conformance_scenarios() -> Tuple[str, ...]:
-    """Bundled scenarios eligible for the full cross-backend matrix.
+    """Bundled scenarios eligible for the full conformance matrix.
 
     Windowed scenarios are excluded: the sliding-window variants have no
-    SoA backend and no mergeable (parallel) form, so they run the
-    serial-only conformance cells instead.
+    mergeable (parallel) form, so they run the serial-only conformance
+    cells instead.
     """
     return tuple(
         name

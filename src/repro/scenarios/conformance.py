@@ -2,18 +2,19 @@
 
 For one (scenario, method) pair the matrix runs every applicable cell --
 
-* serial scalar ingest, ``object`` and ``soa`` backends;
-* serial batched ingest (the spec's arrival schedule), both backends;
-* parallel sharded ingest (``workers=2``), both backends, plus the
-  serial merge-of-shards reference it must reproduce;
+* serial scalar ingest (``serial/object/scalar``);
+* serial batched ingest on the spec's arrival schedule
+  (``serial/object/batch``);
+* parallel sharded ingest (``workers=2``, ``parallel/object``), plus the
+  serial merge-of-shards reference it must reproduce
+  (``parallel/reference``);
 
 -- and then asserts, per stream:
 
-1. **bit-identity within the serial family**: all serial cells (scalar /
-   batched x object / soa) produce identical segments, error, and
-   tie-breaks;
-2. **bit-identity within the parallel family**: both parallel backends
-   equal the deterministic serial merge-of-shards reference (the same
+1. **bit-identity within the serial family**: the scalar and batched
+   cells produce identical segments, error, and tie-breaks;
+2. **bit-identity within the parallel family**: the parallel cell
+   equals the deterministic serial merge-of-shards reference (the same
    merge schedule computed without a process pool) -- the parallel path
    may legally differ from single-pass serial (a different, equally
    valid merge order), but never from its own reference;
@@ -37,7 +38,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.api import BACKEND_METHODS, PARALLEL_METHODS, build_summary
+from repro.api import PARALLEL_METHODS, build_summary
 from repro.exceptions import ReproError
 from repro.offline.optimal import optimal_error
 from repro.scenarios.generate import generate, schedules
@@ -108,22 +109,16 @@ class ConformanceResult:
         }
 
 
-def _serial_cells(method: str) -> List[Tuple[str, str, str]]:
-    """(cell name, backend, ingest) for the serial family."""
-    backends = ["object"]
-    if method in BACKEND_METHODS:
-        backends.append("soa")
-    return [
-        (f"serial/{backend}/{ingest}", backend, ingest)
-        for backend in backends
-        for ingest in ("scalar", "batch")
-    ]
+#: (cell name, ingest) for the serial family.
+_SERIAL_CELLS = (
+    ("serial/object/scalar", "scalar"),
+    ("serial/object/batch", "batch"),
+)
 
 
 def _run_serial(
     spec: ScenarioSpec,
     method: str,
-    backend: str,
     ingest: str,
     values: np.ndarray,
     schedule: List[int],
@@ -134,7 +129,6 @@ def _run_serial(
         epsilon=spec.epsilon,
         universe=spec.universe,
         window=spec.window,
-        backend=backend,
     )
     if ingest == "scalar":
         for v in values.tolist():
@@ -147,14 +141,13 @@ def _run_serial(
     return summary.histogram()
 
 
-def _run_parallel(spec: ScenarioSpec, method: str, backend: str, values):
+def _run_parallel(spec: ScenarioSpec, method: str, values):
     from repro.parallel import ParallelSummarizer
 
     summarizer = ParallelSummarizer(
         method,
         buckets=spec.buckets,
         workers=CONFORMANCE_WORKERS,
-        summary_backend=backend,
         serial_cutoff=1,
     )
     live = summarizer.summarize(values).histogram()
@@ -178,30 +171,17 @@ def run_conformance(
     for name, values in streams.items():
         cells: Dict[str, Fingerprint] = {}
         schedule = stream_schedules[name]
-        for cell, backend, ingest in _serial_cells(method):
-            hist = _run_serial(spec, method, backend, ingest, values, schedule)
+        for cell, ingest in _SERIAL_CELLS:
+            hist = _run_serial(spec, method, ingest, values, schedule)
             cells[cell] = Fingerprint.of(hist)
             _check_bound(result, spec, name, cell, hist, values, factor)
         if parallel and method in PARALLEL_METHODS and spec.window is None:
-            reference = None
-            backends = ["object"]
-            if method in BACKEND_METHODS:
-                backends.append("soa")
-            for backend in backends:
-                live, ref = _run_parallel(spec, method, backend, values)
-                cells[f"parallel/{backend}"] = Fingerprint.of(live)
-                if reference is None:
-                    reference = Fingerprint.of(ref)
-                    cells["parallel/reference"] = reference
-                _check_bound(
-                    result,
-                    spec,
-                    name,
-                    f"parallel/{backend}",
-                    live,
-                    values,
-                    factor,
-                )
+            live, ref = _run_parallel(spec, method, values)
+            cells["parallel/object"] = Fingerprint.of(live)
+            cells["parallel/reference"] = Fingerprint.of(ref)
+            _check_bound(
+                result, spec, name, "parallel/object", live, values, factor
+            )
         result.cells[name] = cells
         _check_identity(result, name, cells)
 

@@ -4,8 +4,8 @@
 of two targets:
 
 * ``target="local"`` -- the library path: every tenant stream is built
-  via :func:`repro.api.build_summary` (honoring ``backend=`` and, for
-  one-shot parallel ingest, ``workers=``) and fed batch-by-batch on the
+  via :func:`repro.api.build_summary` (or, for one-shot parallel
+  ingest, ``summarize(workers=)``) and fed batch-by-batch on the
   spec's arrival schedule, through the same ephemeral
   :class:`~repro.service.Session` route ``summarize()`` uses;
 * ``target="service"`` -- the wire path: an ephemeral
@@ -37,12 +37,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.api import (
-    BACKEND_METHODS,
-    PARALLEL_METHODS,
-    build_summary,
-    streaming_methods,
-)
+from repro.api import PARALLEL_METHODS, build_summary, streaming_methods
 from repro.exceptions import InjectedFaultError, InvalidParameterError
 from repro.loadgen import LatencySummary, summarize_latencies
 from repro.offline.optimal import optimal_error
@@ -119,7 +114,6 @@ class ScenarioReport:
     scenario: str
     method: str
     target: str
-    backend: str
     workers: Optional[int]
     buckets: int
     window: Optional[int]
@@ -154,7 +148,6 @@ class ScenarioReport:
             "scenario": self.scenario,
             "method": self.method,
             "target": self.target,
-            "backend": self.backend,
             "workers": self.workers,
             "buckets": self.buckets,
             "window": self.window,
@@ -188,10 +181,6 @@ class ScenarioRunner:
     ----------
     target:
         ``"local"`` (default) or ``"service"`` (see module docs).
-    backend:
-        Maintenance kernel for the MIN-MERGE family (``"object"`` /
-        ``"soa"``); forwarded to :func:`~repro.api.build_summary` or the
-        service stream config.
     workers:
         When set (> 1), local runs ingest each stream through the
         parallel one-shot path (merge-capable methods only) instead of
@@ -207,7 +196,6 @@ class ScenarioRunner:
         self,
         *,
         target: str = "local",
-        backend: str = "object",
         workers: Optional[int] = None,
         host: Optional[str] = None,
         port: Optional[int] = None,
@@ -224,7 +212,6 @@ class ScenarioRunner:
                 "`serve --workers` instead"
             )
         self.target = target
-        self.backend = backend
         self.workers = workers
         self.host = host
         self.port = port
@@ -237,11 +224,6 @@ class ScenarioRunner:
             raise InvalidParameterError(
                 f"scenario runs need a streaming method, got {method!r} "
                 f"(streaming: {', '.join(streaming_methods())})"
-            )
-        if self.backend != "object" and method not in BACKEND_METHODS:
-            raise InvalidParameterError(
-                f"backend={self.backend!r} needs one of "
-                f"{', '.join(BACKEND_METHODS)}, got {method!r}"
             )
         if self.workers is not None and self.workers > 1:
             if method not in PARALLEL_METHODS:
@@ -278,7 +260,6 @@ class ScenarioRunner:
             scenario=spec.name,
             method=method,
             target=self.target,
-            backend=self.backend,
             workers=self.workers,
             buckets=spec.buckets,
             window=spec.window,
@@ -298,7 +279,6 @@ class ScenarioRunner:
             epsilon=spec.epsilon,
             universe=spec.universe,
             window=spec.window,
-            backend=self.backend,
         )
 
     def _run_local(self, spec: ScenarioSpec, method: str, run: _StreamRun) -> None:
@@ -313,7 +293,6 @@ class ScenarioRunner:
                 spec.buckets,
                 method=method,
                 workers=self.workers,
-                backend=self.backend,
             )
             run.append_seconds.append(time.perf_counter() - t0)
             run.histogram = hist
@@ -392,8 +371,6 @@ class ScenarioRunner:
         }
         if spec.window is not None:
             config["window"] = spec.window
-        if self.backend != "object":
-            config["backend"] = self.backend
         try:
             with ServiceClient(host or "127.0.0.1", port) as client:
                 for run in runs:

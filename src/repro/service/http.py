@@ -80,12 +80,15 @@ PROTO_HTTP = 3
 #: are read separately up to :data:`MAX_BODY_BYTES`).
 MAX_HEADER_LINE = 64 * 1024
 
+#: Cap on the whole header section, however many lines it spans.
+MAX_HEADER_BYTES = 64 * 1024
+
 #: Cap on a request body -- the same bound as a binary wire frame.
 MAX_BODY_BYTES = wire.MAX_PAYLOAD_BYTES
 
 _SERVER_NAME = "repro-histogram"
 
-_STREAM_CONFIG_KEYS = ("method", "buckets", "epsilon", "universe", "window", "backend")
+_STREAM_CONFIG_KEYS = ("method", "buckets", "epsilon", "universe", "window")
 
 #: Query-string config values arrive as strings; coerce per key.
 _CONFIG_COERCE = {
@@ -94,7 +97,6 @@ _CONFIG_COERCE = {
     "epsilon": float,
     "universe": int,
     "window": int,
-    "backend": str,
 }
 
 _REASONS = {
@@ -321,7 +323,13 @@ class HttpFrontend:
                     headers = await self._read_headers(reader)
                 except (asyncio.LimitOverrunError, ValueError):
                     await self._answer(
-                        writer, 400, _error_body("header line too long"), False
+                        writer,
+                        400,
+                        _error_body(
+                            f"header line or section exceeds the "
+                            f"{MAX_HEADER_BYTES}-byte cap"
+                        ),
+                        False,
                     )
                     return
                 if headers is None:
@@ -389,14 +397,23 @@ class HttpFrontend:
 
     @staticmethod
     async def _read_headers(reader) -> Optional[dict]:
-        """Lower-cased header dict, or ``None`` on EOF mid-headers."""
+        """Lower-cased header dict, or ``None`` on EOF mid-headers.
+
+        Raises ``ValueError`` once the section passes
+        :data:`MAX_HEADER_BYTES` (``readline`` raises it for one line
+        past :data:`MAX_HEADER_LINE`).
+        """
         headers: dict = {}
+        total = 0
         while True:
             line = await reader.readline()
             if line in (b"\r\n", b"\n"):
                 return headers
             if not line:
                 return None
+            total += len(line)
+            if total > MAX_HEADER_BYTES:
+                raise ValueError("header section too long")
             name, sep, value = line.decode("latin-1").partition(":")
             if sep:
                 headers[name.strip().lower()] = value.strip()

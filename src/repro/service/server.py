@@ -55,7 +55,6 @@ _STREAM_CONFIG_KEYS = (
     "epsilon",
     "universe",
     "window",
-    "backend",
 )
 
 _SERVER_NAME = "repro-histogram"

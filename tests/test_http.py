@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
+import time
 
 import pytest
 
@@ -36,7 +38,7 @@ from repro.service.errors import (
     ServiceError,
     UnknownStreamError,
 )
-from repro.service.http import PROTO_HTTP
+from repro.service.http import MAX_HEADER_BYTES, PROTO_HTTP
 
 
 @pytest.fixture()
@@ -339,6 +341,52 @@ class TestAppendValidation:
         ):
             with pytest.raises(InvalidParameterError, match="integer"):
                 build_summary("min-increment", **kwargs)
+
+
+class TestHostileInput:
+    """Requests built to pin a thread or grow memory are cut off early."""
+
+    @pytest.mark.parametrize("epsilon", [1e-17, 1e-9])
+    @pytest.mark.parametrize("transport", ["binary", "rest"])
+    def test_tiny_epsilon_is_invalid_within_a_second(
+        self, stack, transport, epsilon
+    ):
+        engine, server, front = stack
+        if transport == "binary":
+            client = ServiceClient(port=server.port, timeout=1.0)
+        else:
+            client = ServiceClient.from_url(
+                f"http://127.0.0.1:{front.port}", timeout=1.0
+            )
+        with client:
+            for method in ("min-increment", "pwl"):
+                started = time.monotonic()
+                with pytest.raises(ServiceError) as excinfo:
+                    client.append("e", [1, 2], method=method, epsilon=epsilon)
+                assert excinfo.value.code == "invalid"
+                assert time.monotonic() - started < 1.0
+            assert client.ping()
+        assert "e" not in engine.streams()
+
+    def test_oversized_header_section_is_one_400_then_eof(self, stack):
+        _engine, _server, front = stack
+        pad = "X-Pad: " + "a" * 1000 + "\r\n"
+        lines = MAX_HEADER_BYTES // len(pad) + 2
+        request = (
+            "GET /v1/meta HTTP/1.1\r\nHost: test\r\n" + pad * lines + "\r\n"
+        ).encode("latin-1")
+        with socket.create_connection(("127.0.0.1", front.port), 5.0) as sock:
+            sock.sendall(request)
+            received = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                received += chunk
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert received.count(b"HTTP/1.1 ") == 1
+        assert json.loads(body)["error"] == "bad-request"
 
 
 class TestIdempotencyKey:

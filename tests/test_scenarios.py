@@ -1,9 +1,9 @@
 """Tests for the scenario DSL, generators, runner, and conformance suite.
 
 The differential conformance matrix at the bottom is the PR's standing
-gate: every bundled scenario runs through object/soa x serial/parallel x
-scalar/batched ingest and must produce bit-identical buckets plus
-bounded error against the offline-optimal oracle.
+gate: every bundled scenario runs through serial scalar, serial batched
+and parallel ingest and must produce bit-identical buckets plus bounded
+error against the offline-optimal oracle.
 """
 
 from __future__ import annotations
@@ -304,13 +304,6 @@ class TestRunner:
         assert payload["scenario"] == spec.name
         assert payload["streams"][0]["bound_ok"] is True
 
-    def test_soa_backend_matches_object(self):
-        spec = load_bundled("steady-brownian").with_overrides(length=2048)
-        obj = run_scenario(spec, "min-merge", backend="object")
-        soa = run_scenario(spec, "min-merge", backend="soa")
-        assert obj.streams[0].error == soa.streams[0].error
-        assert obj.streams[0].buckets_used == soa.streams[0].buckets_used
-
     def test_parallel_run_bounded(self):
         spec = load_bundled("steady-brownian").with_overrides(length=4096)
         report = run_scenario(spec, "min-merge", workers=2)
@@ -338,14 +331,6 @@ class TestRunner:
         assert served.streams[0].buckets_used == local.streams[0].buckets_used
         assert served.streams[0].memory_bytes > 0
 
-    def test_service_target_soa_backend(self):
-        """The wire must carry the backend key (server config regression)."""
-        spec = load_bundled("steady-brownian").with_overrides(length=1024)
-        local = run_scenario(spec, "min-merge", backend="soa")
-        served = run_scenario(spec, "min-merge", target="service",
-                              backend="soa")
-        assert served.streams[0].error == local.streams[0].error
-
     def test_invalid_runner_configs_rejected(self):
         spec = load_bundled("steady-brownian")
         with pytest.raises(InvalidParameterError):
@@ -354,8 +339,6 @@ class TestRunner:
             ScenarioRunner(target="service", workers=2)
         with pytest.raises(InvalidParameterError):
             run_scenario(spec, "min-increment", workers=2)
-        with pytest.raises(InvalidParameterError):
-            run_scenario(spec, "min-increment", backend="soa")
         windowed = load_bundled("out-of-order-window")
         with pytest.raises(InvalidParameterError):
             run_scenario(windowed, "min-merge", workers=2)
@@ -369,19 +352,21 @@ class TestConformance:
     @pytest.mark.parametrize("method", ("min-merge", "pwl-min-merge"))
     def test_full_matrix_bit_identical(self, name, method):
         """The PR's acceptance gate: every bundled scenario x both
-        merge-capable methods through object/soa x serial/parallel x
-        scalar/batched ingest -- bit-identical within each family,
-        bounded against the DP-verified oracle."""
+        merge-capable methods through serial scalar, serial batched and
+        parallel ingest -- bit-identical within each family, bounded
+        against the DP-verified oracle."""
         spec = load_bundled(name)
         if spec.length > 4000:  # keep the per-PR matrix fast; nightly
             spec = spec.with_overrides(length=4000)  # runs full lengths
         result = check_conformance(spec, method)
         assert result.ok
         for cells in result.cells.values():
-            assert "serial/object/scalar" in cells
-            assert "serial/soa/batch" in cells
-            assert "parallel/object" in cells
-            assert "parallel/soa" in cells
+            assert set(cells) == {
+                "serial/object/scalar",
+                "serial/object/batch",
+                "parallel/object",
+                "parallel/reference",
+            }
 
     def test_windowed_scenario_serial_cells(self):
         spec = load_bundled("out-of-order-window").with_overrides(length=3000)

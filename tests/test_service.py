@@ -23,14 +23,20 @@ import threading
 
 import pytest
 
+from repro import checkpoint
 from repro.api import build_summary, methods, summarize
+from repro.core.min_merge import MinMergeHistogram
+from repro.core.pwl_min_merge import PwlMinMergeHistogram
 from repro.exceptions import (
     BackpressureError,
     EmptySummaryError,
     InjectedFaultError,
     InvalidParameterError,
 )
+from repro.observability.metrics import MetricsRegistry
+from repro.parallel import ParallelSummarizer
 from repro.resilience import FaultPlan, ItemJournal
+from repro.resilience.store import _state_crc
 from repro.service import (
     HttpFrontend,
     ServiceClient,
@@ -338,6 +344,163 @@ class TestEngineApi:
         engine.close()
         with pytest.raises(TypeError):
             Session(engine, workers=2)
+
+
+class TestQueryCache:
+    def test_query_cache_hits_between_writes(self):
+        registry = MetricsRegistry()
+        with StreamEngine(metrics=registry) as engine:
+            handle = engine.stream("s", method="min-merge", buckets=8)
+            handle.append(_dataset(500))
+            first = engine.histogram("s")
+            second = engine.histogram("s")
+            assert list(first) == list(second)
+            counters = registry.snapshot()["counters"]
+            assert counters["s.query_cache_hits"] == 1
+            assert counters["s.query_cache_misses"] == 1
+            # A write starts a new epoch: the next query misses, then hits.
+            handle.append([1, 2, 3])
+            engine.histogram("s")
+            engine.histogram("s")
+            counters = registry.snapshot()["counters"]
+            assert counters["s.query_cache_hits"] == 2
+            assert counters["s.query_cache_misses"] == 2
+
+    def test_cached_query_is_current_after_write(self):
+        with StreamEngine() as engine:
+            handle = engine.stream("s", method="min-merge", buckets=4)
+            handle.append([1, 2, 3])
+            stale = engine.histogram("s")
+            handle.append([100, 200])
+            fresh = engine.histogram("s")
+            assert fresh.meta.items_seen == 5
+            assert list(fresh) != list(stale) or len(fresh) != len(stale)
+
+    def test_attached_streams_are_never_cached(self):
+        summary = MinMergeHistogram(buckets=4)
+        with StreamEngine() as engine:
+            handle = engine.attach("s", summary, method="min-merge")
+            handle.append([1, 2, 3])
+            engine.histogram("s")
+            # Out-of-band mutation the engine cannot see: an epoch-keyed
+            # cache would serve a stale answer here.
+            summary.insert(50)
+            assert engine.histogram("s").meta.items_seen == 4
+
+
+class TestLegacyBackendField:
+    """Checkpoints and manifests may still carry ``"backend"``.
+
+    Older releases recorded which of two bit-identical MIN-MERGE kernels
+    a summary ran on (``"object"`` or ``"soa"``).  The bucket list is the
+    whole state, so both values load onto the one kernel unchanged.
+    """
+
+    @pytest.mark.parametrize("backend", ["object", "soa"])
+    @pytest.mark.parametrize("method", ["min-merge", "pwl-min-merge"])
+    def test_state_dict_with_backend_restores_bit_identically(
+        self, method, backend
+    ):
+        values = _dataset(1200)
+        reference = build_summary(method, buckets=6)
+        reference.extend(values[:700])
+        state = checkpoint.state_dict(reference)
+        assert "backend" not in state
+        state["backend"] = backend
+        restored = checkpoint.restore(state)
+        assert checkpoint.state_dict(restored) == checkpoint.state_dict(
+            reference
+        )
+        reference.extend(values[700:])
+        restored.extend(values[700:])
+        assert checkpoint.state_dict(restored) == checkpoint.state_dict(
+            reference
+        )
+
+    @pytest.mark.parametrize("method", ["min-merge", "pwl-min-merge"])
+    def test_engine_recovers_checkpoint_dir_marked_soa(self, method, tmp_path):
+        values = _dataset(2000)
+        with StreamEngine(checkpoint_dir=tmp_path) as engine:
+            handle = engine.stream("s", method=method, buckets=8)
+            handle.append(values[:1500])
+            handle.checkpoint()
+            handle.append(values[1500:])
+            served = engine.histogram("s")
+        directory = os.path.join(os.fspath(tmp_path), _tenant_dirname("s"))
+        with open(os.path.join(directory, _MANIFEST)) as fh:
+            assert "backend" not in json.load(fh)
+        _inject_backend(directory, "soa")
+        with StreamEngine(checkpoint_dir=tmp_path) as engine:
+            stats = engine.stats("s")
+            assert stats["items_seen"] == len(values)
+            assert "backend" not in stats
+            assert _same_histogram(engine.histogram("s"), served)
+            generation = engine.checkpoint("s")["s"]
+        path = os.path.join(directory, f"snapshot-{generation:08d}.json")
+        with open(path) as fh:
+            assert "backend" not in json.load(fh)["state"]
+
+    def test_backend_config_key_is_ignored_over_both_transports(self):
+        values = _dataset(1000)
+        oracle = summarize(values, 8, method="min-merge")
+        with StreamEngine(workers=1) as engine:
+            server = StreamServer(engine).start_in_background()
+            front = HttpFrontend(engine).start_in_background()
+            try:
+                clients = {
+                    "binary": ServiceClient(port=server.port),
+                    "rest": ServiceClient.from_url(
+                        f"http://127.0.0.1:{front.port}"
+                    ),
+                }
+                for name, client in clients.items():
+                    with client:
+                        client.append(
+                            name, values, method="min-merge", buckets=8,
+                            backend="soa",
+                        )
+                        hist = client.query(name, drain=True).histogram
+                        assert _same_histogram(hist, oracle)
+                        assert "backend" not in client.stats(name)
+            finally:
+                front.stop()
+                server.stop()
+
+    def test_backend_keyword_is_gone_in_process(self):
+        with pytest.raises(TypeError):
+            MinMergeHistogram(buckets=4, backend="object")
+        with pytest.raises(TypeError):
+            PwlMinMergeHistogram(buckets=4, backend="object")
+        with pytest.raises(TypeError):
+            build_summary("min-merge", buckets=4, backend="object")
+        with pytest.raises(TypeError):
+            summarize([1, 2, 3], 2, method="min-merge", backend="object")
+        with pytest.raises(TypeError):
+            ParallelSummarizer("min-merge", buckets=4, summary_backend="object")
+        with StreamEngine() as engine:
+            with pytest.raises(TypeError):
+                engine.stream("s", method="min-merge", backend="object")
+
+
+def _inject_backend(directory, backend):
+    """Rewrite a stream's manifest and snapshots as an older release
+    wrote them: with a ``"backend"`` field (snapshot checksums redone)."""
+    path = os.path.join(directory, _MANIFEST)
+    with open(path) as fh:
+        manifest = json.load(fh)
+    manifest["backend"] = backend
+    with open(path, "w") as fh:
+        json.dump(manifest, fh)
+    snapshots = [n for n in os.listdir(directory) if n.startswith("snapshot-")]
+    assert snapshots
+    for name in snapshots:
+        path = os.path.join(directory, name)
+        with open(path) as fh:
+            envelope = json.load(fh)
+        envelope["state"]["backend"] = backend
+        envelope["checksum"] = _state_crc(envelope["state"])
+        with open(path, "w") as fh:
+            json.dump(envelope, fh)
 
 
 class TestWireProtocol:
