@@ -81,7 +81,7 @@ def run(items: int, *, chunk: int, max_ratio: float, attempts: int) -> dict:
     """
     values = _dataset(items)
     oracle = summarize(values, 16, method="min-merge")
-    engine = StreamEngine(workers=1)
+    engine = StreamEngine()
     server = StreamServer(engine).start_in_background()
     front = HttpFrontend(engine).start_in_background()
     best = None

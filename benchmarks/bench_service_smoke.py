@@ -3,8 +3,8 @@ and diff the served histogram against one-shot ``summarize()``.
 
 The CI job runs this after every change (see ``.github/workflows/ci.yml``
 and ``make service-smoke``): it is the end-to-end check that the wire
-front, the engine's queueing/locking, checkpoint-on-ingest, and the
-one-shot API all agree bit for bit.
+front, the engine's inline journal-then-apply path, checkpoint-on-ingest,
+and the one-shot API all agree bit for bit.
 
 Every batch travels as a binary ``OP_APPEND`` frame, the service's one
 TCP append path.
@@ -51,9 +51,7 @@ def _check_served(method: str, served, oracle, items: int) -> None:
         )
 
 
-def run_smoke(
-    items: int, *, chunk: int = 5_000, workers: int = 2
-) -> dict:
+def run_smoke(items: int, *, chunk: int = 5_000) -> dict:
     """Stream ``items`` values per method over TCP; return the report.
 
     Raises ``SystemExit`` on the first divergence between the served
@@ -64,7 +62,6 @@ def run_smoke(
         engine = StreamEngine(
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=max(1, items // 4),
-            workers=workers,
         )
         server = StreamServer(engine).start_in_background()
         report = {"items": items, "chunk": chunk, "methods": {}}
@@ -110,12 +107,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--items", type=int, default=100_000)
     parser.add_argument("--chunk", type=int, default=5_000)
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument(
         "--json", default=None, help="also write the report to this path"
     )
     args = parser.parse_args(argv)
-    report = run_smoke(args.items, chunk=args.chunk, workers=args.workers)
+    report = run_smoke(args.items, chunk=args.chunk)
     for method, row in report["methods"].items():
         print(
             f"{method:<16} {row['seconds']:.3f} s "

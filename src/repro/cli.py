@@ -175,19 +175,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-pending", type=int, default=100_000,
-        help="per-stream bound on queued-but-unapplied items (backpressure)",
+        help="per-stream bound on items admitted but not yet applied; an "
+        "append beyond it while others are in flight is refused with "
+        "backpressure (an idle stream admits a batch of any size; "
+        "single-process server)",
     )
     serve.add_argument(
         "--workers", type=int, default=0,
         help="cluster worker processes (0 = single-process server; N >= 1 "
         "boots a consistent-hash sharded router fronting N engine "
         "processes, see docs/CLUSTER.md)",
-    )
-    serve.add_argument(
-        "--ingest-workers", type=int, default=0,
-        help="ingest worker threads inside a single-process engine "
-        "(0 = apply batches inline; ignored in cluster mode, whose "
-        "workers always apply inline for ack-means-durable)",
     )
     serve.add_argument(
         "--metrics", action="store_true",
@@ -452,7 +449,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,
         max_pending=args.max_pending,
-        workers=args.ingest_workers,
         metrics=args.metrics,
     )
     server = StreamServer(engine, host=args.host, port=args.port)

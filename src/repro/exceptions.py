@@ -19,7 +19,7 @@ single base class.  More specific subclasses identify the failure mode:
   :mod:`repro.resilience.faults`); never raised in production
   configurations.
 * :class:`BackpressureError` -- the streaming service engine rejected an
-  append because the target stream's bounded write queue is full
+  append because the target stream's in-flight bound is reached
   (admission control; the request is safe to retry).
 * :class:`UnknownStreamError` -- a request addressed a stream id the
   engine does not know (surfaced over the wire as ``unknown-stream``,
@@ -83,11 +83,12 @@ class UnknownStreamError(InvalidParameterError):
 
 
 class BackpressureError(ReproError, RuntimeError):
-    """An append was rejected because a stream's write queue is full.
+    """An append was rejected because a stream's in-flight bound is reached.
 
     Raised by :class:`repro.service.StreamEngine` (and surfaced over the
-    wire as a ``backpressure`` error) when accepting the batch would push
-    the stream's pending-item count past its bound.  Nothing was ingested;
+    wire as a ``backpressure`` error) when other appends to the stream are
+    in flight and admitting the batch would push the stream's in-flight
+    item count past its bound.  Nothing was journaled or ingested;
     the caller should back off and retry -- admission control protects the
     applied state, it never tears a batch.
     """

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 
+from repro.core.error_ladder import MAX_LADDER_LEVELS
 from repro.exceptions import InvalidParameterError
 
 
@@ -145,6 +146,16 @@ def relative_error_ladder(
     if universe < 2:
         raise InvalidParameterError(f"universe must be at least 2, got {universe}")
     floor = 1.0 / (2.0 * max(universe, sanity * 2))
+    # Closed-form count first: a tiny epsilon (or one where
+    # 1 + epsilon == 1.0) would otherwise spin the loop below for
+    # millions of steps, or forever.
+    count = 2 + math.ceil(-math.log(floor) / math.log1p(epsilon))
+    if count > MAX_LADDER_LEVELS:
+        raise InvalidParameterError(
+            f"epsilon={epsilon} with universe={universe} needs {count} "
+            f"relative-error ladder levels, more than the "
+            f"{MAX_LADDER_LEVELS} allowed; use a larger epsilon"
+        )
     levels = [0.0]
     e = floor
     while True:

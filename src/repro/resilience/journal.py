@@ -26,14 +26,8 @@ entirely covered by the *oldest retained* generation -- not the newest, so
 falling back a generation after snapshot corruption still finds the tail
 it needs.
 
-**Group commit**: ``append(..., sync=False)`` writes the record but defers
-the fsync; a later ``sync()`` -- or any subsequent ``sync=True`` append on
-the same journal -- durably commits every deferred record at once (one
-fsync covers the whole file).  The service engine uses this to coalesce
-fsyncs onto batch-queue drain boundaries instead of paying one fsync per
-append; the safety invariant (journal coverage >= summary coverage at
-snapshot time) is restored by :meth:`CheckpointStore.save`, which syncs
-the journal before a snapshot becomes visible.
+Every append is fsynced (:meth:`ItemJournal.sync`) before it returns, so
+the journal always covers at least what its caller has applied.
 """
 
 from __future__ import annotations
@@ -74,7 +68,6 @@ class ItemJournal:
         self.path = os.fspath(path)
         self.fault_plan = fault_plan
         self._handle = None
-        self._dirty = False
 
     def __len__(self) -> int:
         """Number of valid records (reads the file; use sparingly)."""
@@ -95,18 +88,14 @@ class ItemJournal:
         if self._handle is not None and not self._handle.closed:
             self._handle.close()
         self._handle = None
-        self._dirty = False
 
-    def append(self, values: Sequence, *, start: int, sync: bool = True) -> None:
+    def append(self, values: Sequence, *, start: int) -> None:
         """Append one batch beginning at absolute index ``start``.
 
-        With ``sync=True`` (the default) the record is fsynced before
-        returning -- and, because one fsync covers the whole file, so is
-        every earlier ``sync=False`` record.  The caller feeds the values
-        to its summary only after this returns, so a crash at any point
-        leaves the journal covering at least as much of the stream as
-        was durably acknowledged.  ``sync=False`` is the group-commit
-        half: write now, commit at the next :meth:`sync` boundary.
+        The record is fsynced before returning.  The caller feeds the
+        values to its summary only after this returns, so a crash at any
+        point leaves the journal covering at least as much of the stream
+        as was durably acknowledged.
         """
         tolist = getattr(values, "tolist", None)
         values = tolist() if tolist is not None else [_plain(v) for v in values]
@@ -126,28 +115,17 @@ class ItemJournal:
             os.fsync(handle.fileno())
             raise InjectedFaultError("injected fault at 'journal.append'")
         handle.write(line.encode("ascii"))
-        if sync:
-            handle.flush()
-            fire(plan, "journal.fsync")
-            os.fsync(handle.fileno())
-            self._dirty = False
-        else:
-            self._dirty = True
+        self.sync()
 
     def sync(self) -> None:
-        """Durably commit every deferred (``sync=False``) record."""
-        if not self._dirty:
-            return
+        """Flush and fsync the journal file (the durable half of append)."""
         handle = self._file()
         handle.flush()
         fire(self.fault_plan, "journal.fsync")
         os.fsync(handle.fileno())
-        self._dirty = False
 
     def close(self) -> None:
-        """Sync any deferred records and release the append handle."""
-        if self._dirty:
-            self.sync()
+        """Release the append handle (every record is already synced)."""
         self._drop_handle()
 
     def replay(self) -> Iterator[tuple[int, list]]:
@@ -158,10 +136,6 @@ class ItemJournal:
         replay.
         """
         self._ignored = 0
-        if self._handle is not None and not self._handle.closed:
-            # Make deferred appends visible to the read-side open below
-            # (flush to the OS; durability is sync()'s job, not replay's).
-            self._handle.flush()
         if not os.path.exists(self.path):
             return
         with open(self.path, "rb") as handle:

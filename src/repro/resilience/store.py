@@ -118,17 +118,13 @@ class CheckpointStore:
 
     # -- write side -----------------------------------------------------------
 
-    def ingest(self, summary, values: Sequence, *, sync: bool = True) -> None:
+    def ingest(self, summary, values: Sequence) -> None:
         """Journal a batch, then feed it to the summary.
 
-        With ``sync=True`` (the default) the journal append is durable
-        (fsynced) before the summary sees a single value, so a crash
-        anywhere leaves the journal covering at least everything the
-        summary ingested.  ``sync=False`` defers the fsync to the next
-        :meth:`sync` / ``sync=True`` boundary (the engine's group commit
-        on queue-drain edges); :meth:`save` always syncs first, so a
-        visible snapshot never covers more than the durable journal.
-        With journaling off this is just ``summary.extend``.
+        The journal append is durable (fsynced) before the summary sees a
+        single value, so a crash anywhere leaves the journal covering at
+        least everything the summary ingested.  With journaling off this
+        is just ``summary.extend``.
 
         ``values`` passes through to ``summary.extend`` unchanged when it
         is sized (the zero-copy contract of the binary ingest path: an
@@ -137,16 +133,11 @@ class CheckpointStore:
         if not hasattr(values, "__len__"):
             values = list(values)
         if self._journal is not None:
-            self._journal.append(values, start=summary.items_seen, sync=sync)
+            self._journal.append(values, start=summary.items_seen)
         summary.extend(values)
 
-    def sync(self) -> None:
-        """Durably commit any deferred journal appends."""
-        if self._journal is not None:
-            self._journal.sync()
-
     def close(self) -> None:
-        """Sync the journal and release its file handle."""
+        """Release the journal's file handle."""
         if self._journal is not None:
             self._journal.close()
 
@@ -157,13 +148,11 @@ class CheckpointStore:
         (``snapshot.tmp-write``), fsync temp (``snapshot.fsync``), rename
         (``snapshot.rename``), fsync directory (``snapshot.commit``),
         prune stale generations (``snapshot.prune``) and compact the
-        journal.  Any deferred journal appends are synced *first*: a
-        snapshot must never become visible covering items the journal
-        has not durably recorded.
+        journal.  Every journaled batch was fsynced by :meth:`ingest`, so
+        a visible snapshot never covers items the journal has not
+        durably recorded.
         """
         plan = self.fault_plan
-        if self._journal is not None:
-            self._journal.sync()
         state = state_dict(summary)
         envelope = {
             "format": _FORMAT,

@@ -3,7 +3,8 @@
 Composes the library's layers into a long-lived deployment unit:
 
 * :class:`StreamEngine` -- thread-safe core owning many named streams,
-  with bounded write queues (admission control), snapshot-isolated
+  where every acknowledged append is journaled and applied, with a
+  per-stream in-flight bound (admission control), snapshot-isolated
   queries, per-stream crash-consistent checkpoints, and per-tenant
   metrics.
 * :class:`Session` / :class:`StreamHandle` -- the stateful public

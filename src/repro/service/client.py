@@ -315,8 +315,8 @@ class ServiceClient:
     def query(self, stream: str, *, drain: bool = False) -> QueryResult:
         """The stream's histogram as a :class:`QueryResult` whose
         ``histogram`` is a real :class:`~repro.core.histogram.Histogram`
-        (``drain=True`` for a barrier: all queued batches apply before
-        the query runs)."""
+        (``drain=True`` for a barrier: every in-flight append applies
+        before the query runs)."""
         response = self._transport.call(
             {"op": "query", "stream": stream, "drain": drain}
         )

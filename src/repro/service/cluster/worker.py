@@ -14,8 +14,8 @@ it (the ``owns`` predicate), binds an ephemeral port, and publishes
 ``{"port": ..., "pid": ...}`` to ``<cluster-dir>/workers/<name>.json``
 for the router to discover.
 
-Workers run their engine with ``workers=0`` (inline apply): an append is
-journaled, fsynced, and applied **before** it is acknowledged, which is
+A worker's engine journals, fsyncs, and applies an append **before**
+acknowledging it (the engine's one ingest path), which is
 the invariant the cluster's zero-loss adoption guarantee rests on
 (``docs/CLUSTER.md``).
 """
@@ -81,7 +81,6 @@ def build_worker(
     engine = StreamEngine(
         checkpoint_dir=tenants_dir(cluster_dir),
         checkpoint_every=checkpoint_every,
-        workers=0,  # inline apply: acknowledged => journaled (zero-loss)
         max_pending=max_pending,
         owns=owns,
     )

@@ -5,17 +5,17 @@
 each a streaming summary built by :func:`repro.api.build_summary`, and
 provides:
 
-* **Thread-safe ingest** -- ``append(stream_id, values)`` routes whole
-  batches through the summaries' vectorized batch path.  With
-  ``workers=0`` (default) batches apply inline under the stream's lock;
-  with ``workers > 0`` they queue on a per-stream FIFO and a worker pool
-  applies them in arrival order (one worker per stream at a time, so a
-  stream's batches never interleave).
-* **Bounded queues with admission control** -- each stream holds at most
-  ``max_pending`` queued-but-unapplied items; an append that would
-  exceed the bound raises :class:`~repro.exceptions.BackpressureError`
-  *before* anything is enqueued, so a rejected batch is never partially
-  ingested.
+* **Thread-safe ingest** -- ``append(stream_id, values)`` validates the
+  batch, journals it (fsynced) when the engine is durable, and applies it
+  through the summaries' vectorized batch path under the stream's lock,
+  all before it returns: an acknowledged append is journaled and applied.
+  Concurrent appends to one stream apply one at a time, in lock order.
+* **An in-flight bound with admission control** -- each stream admits at
+  most ``max_pending`` items that are admitted but not yet applied; an
+  append that would exceed the bound while others are in flight raises
+  :class:`~repro.exceptions.BackpressureError` *before* anything is
+  journaled, so a rejected batch is never partially ingested.  An idle
+  stream admits a batch of any size.
 * **Snapshot-isolated queries** -- ``histogram(stream_id)`` runs under
   the same per-stream lock as batch application, so a query always sees
   a batch boundary: the summary after some whole prefix of the accepted
@@ -30,27 +30,27 @@ provides:
   is instrumented into one shared registry under a ``<stream_id>.``
   prefix, exported via ``stats()``.
 
-The engine is synchronous and thread-safe; the asyncio wire front lives
-in :mod:`repro.service.server` and calls into it from executor threads.
+The engine is synchronous and thread-safe and starts no threads; the
+asyncio wire front lives in :mod:`repro.service.server` and calls into
+it from executor threads.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import queue
 import re
 import threading
 import time
 import zlib
-from collections import deque
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.api import DEFAULT_UNIVERSE, build_summary, streaming_methods
 from repro.core.batch import validated_batch
 from repro.core.histogram import Histogram, HistogramMeta
 from repro.exceptions import (
     BackpressureError,
+    DomainError,
     EmptySummaryError,
     InvalidParameterError,
     ReproError,
@@ -62,7 +62,6 @@ from repro.resilience.store import CheckpointStore
 
 _MANIFEST = "stream.json"
 _SAFE_ID = re.compile(r"[^A-Za-z0-9._-]+")
-_SHUTDOWN = object()
 
 
 def _tenant_dirname(stream_id: str) -> str:
@@ -77,7 +76,7 @@ def _tenant_dirname(stream_id: str) -> str:
 
 
 class _Tenant:
-    """One named stream: summary + lock + write queue + checkpoint store."""
+    """One named stream: summary + lock + admission count + checkpoint store."""
 
     __slots__ = (
         "stream_id",
@@ -89,9 +88,7 @@ class _Tenant:
         "summary",
         "lock",
         "qlock",
-        "pending",
         "pending_items",
-        "scheduled",
         "idle",
         "store",
         "since_snapshot",
@@ -101,8 +98,10 @@ class _Tenant:
         "rejected",
         "queries",
         "checkpoints",
+        "errors",
         "last_error",
         "attached",
+        "released",
         "epoch",
         "cached_epoch",
         "cached_hist",
@@ -118,13 +117,13 @@ class _Tenant:
         self.window = getattr(summary, "window", None)
         self.summary = summary
         # ``lock`` guards the summary + store (apply vs query); ``qlock``
-        # guards the write queue bookkeeping and is never held across an
-        # apply, so admission control stays responsive during long batches.
+        # guards the admission count and is never held across an apply,
+        # so admission control stays responsive during long batches.
+        # ``pending_items`` counts items admitted but not yet applied;
+        # ``idle`` is notified whenever it falls to zero.
         self.lock = threading.Lock()
         self.qlock = threading.Lock()
-        self.pending = deque()
         self.pending_items = 0
-        self.scheduled = False
         self.idle = threading.Condition(self.qlock)
         self.store: Optional[CheckpointStore] = None
         self.since_snapshot = 0
@@ -134,8 +133,12 @@ class _Tenant:
         self.rejected = 0
         self.queries = 0
         self.checkpoints = 0
+        self.errors = 0
         self.last_error: Optional[str] = None
         self.attached = False
+        # Set by release() under ``qlock``: admission refuses the stream
+        # from then on, so nothing reaches its store once it is closed.
+        self.released = False
         # Write epoch for query caching: bumped under ``lock`` on every
         # applied batch, so ``(stream, epoch)`` names an exact summary
         # state.  ``cached_epoch == -1`` means nothing cached; recovery,
@@ -171,18 +174,16 @@ class StreamEngine:
     checkpoint_every:
         Snapshot a stream after this many applied items since its last
         snapshot (``None`` = only explicit :meth:`checkpoint` calls).
-    keep / journal:
-        Passed to each stream's :class:`~repro.resilience.CheckpointStore`
-        (generations retained; whether batches are journaled before
-        ingestion -- journaling is what makes recovery bit-exact between
-        snapshots).
+    keep:
+        Snapshot generations each stream's
+        :class:`~repro.resilience.CheckpointStore` retains.  Every batch
+        of a durable stream is journaled before it is applied, which is
+        what makes recovery bit-exact between snapshots.
     max_pending:
-        Per-stream bound on queued-but-unapplied items; exceeding it
-        raises :class:`~repro.exceptions.BackpressureError`.
-    workers:
-        ``0`` applies batches inline on the appending thread; ``n > 0``
-        starts ``n`` daemon worker threads draining the per-stream
-        queues (arrival order per stream is always preserved).
+        Per-stream bound on items admitted but not yet applied.  An
+        append that would exceed it while other appends to the stream
+        are in flight raises :class:`~repro.exceptions.BackpressureError`;
+        an idle stream admits a batch of any size.
     metrics:
         ``None``/``False``/``True``/:class:`MetricsRegistry` -- resolved
         per stream with a ``<stream_id>.`` prefix into one shared
@@ -209,9 +210,7 @@ class StreamEngine:
         checkpoint_dir=None,
         checkpoint_every: Optional[int] = None,
         keep: int = 2,
-        journal: bool = True,
         max_pending: int = 100_000,
-        workers: int = 0,
         metrics=None,
         fault_plan=None,
         apply_hook=None,
@@ -225,14 +224,11 @@ class StreamEngine:
             raise InvalidParameterError(
                 f"max_pending must be >= 1, got {max_pending}"
             )
-        if workers < 0:
-            raise InvalidParameterError(f"workers must be >= 0, got {workers}")
         self.checkpoint_dir = (
             os.fspath(checkpoint_dir) if checkpoint_dir is not None else None
         )
         self.checkpoint_every = checkpoint_every
         self.keep = keep
-        self.journal = journal
         self.max_pending = max_pending
         self.fault_plan = fault_plan
         self.apply_hook = apply_hook
@@ -247,18 +243,6 @@ class StreamEngine:
         self._tenants: dict[str, _Tenant] = {}
         self._registry_lock = threading.Lock()
         self._closed = False
-        self._errors = 0
-        self._ready: queue.Queue = queue.Queue()
-        self._workers = [
-            threading.Thread(
-                target=self._worker_loop,
-                name=f"repro-engine-worker-{i}",
-                daemon=True,
-            )
-            for i in range(workers)
-        ]
-        for thread in self._workers:
-            thread.start()
         if self.checkpoint_dir is not None:
             self._recover_existing()
 
@@ -271,26 +255,22 @@ class StreamEngine:
         self.close()
 
     def close(self) -> None:
-        """Drain every queue, stop the workers, refuse further appends."""
+        """Wait for in-flight appends, close the stores, refuse new appends."""
         if self._closed:
             return
-        self.drain()
         self._closed = True
-        for _ in self._workers:
-            self._ready.put(_SHUTDOWN)
-        for thread in self._workers:
-            thread.join(timeout=5.0)
+        self.drain()
         for tenant in list(self._tenants.values()):
-            if tenant.store is not None:
-                with tenant.lock:
+            with tenant.lock:
+                if tenant.store is not None:
                     tenant.store.close()
 
     def drain(self, timeout: Optional[float] = None) -> bool:
-        """Block until all accepted batches have applied (True on success)."""
+        """Block until every admitted batch has applied (True on success)."""
         deadline = None if timeout is None else time.monotonic() + timeout
         for tenant in list(self._tenants.values()):
             with tenant.idle:
-                while tenant.pending_items or tenant.scheduled:
+                while tenant.pending_items:
                     remaining = None
                     if deadline is not None:
                         remaining = deadline - time.monotonic()
@@ -316,7 +296,10 @@ class StreamEngine:
         Creation is idempotent: calling again with the same id returns a
         handle on the existing stream, but a conflicting ``method`` (or
         ``window``) raises rather than silently serving different math
-        than the caller asked for.
+        than the caller asked for.  On a durable engine a stream that is
+        not registered but has a manifest on disk (e.g. one dropped by
+        :meth:`release`) is recovered, not created afresh, so its
+        acknowledged appends survive.
         """
         from repro.service.session import StreamHandle
 
@@ -334,13 +317,7 @@ class StreamEngine:
                         window=window,
                     )
                     self._tenants[stream_id] = tenant
-                    return StreamHandle(self, tenant)
-        if tenant.method != method or tenant.window != window:
-            raise InvalidParameterError(
-                f"stream {stream_id!r} already exists with "
-                f"method={tenant.method!r} window={tenant.window}; "
-                f"requested method={method!r} window={window}"
-            )
+        _check_config(stream_id, tenant.method, tenant.window, method, window)
         return StreamHandle(self, tenant)
 
     def attach(self, stream_id: str, summary, *, method: Optional[str] = None):
@@ -348,7 +325,7 @@ class StreamEngine:
 
         The escape hatch behind ``summarize(method=SomeClass)`` and the
         one-shot path: any :class:`~repro.core.interface.StreamingSummary`
-        joins the engine's locking/queueing/stats machinery.  Attached
+        joins the engine's locking/admission/stats machinery.  Attached
         streams are never checkpointed (the engine cannot manifest a
         factory for an arbitrary object).
         """
@@ -373,10 +350,19 @@ class StreamEngine:
         Unlike :meth:`stream` this never creates and never checks config,
         so it is the right accessor when the caller does not care how the
         stream was configured (e.g. the wire front re-addressing a stream
-        created by an earlier request).
+        created by an earlier request).  On a durable engine a stream
+        that is not registered but has a manifest on disk (e.g. one
+        dropped by :meth:`release`) exists too: it is recovered, as
+        :meth:`adopt` does, whatever its method.
         """
         from repro.service.session import StreamHandle
 
+        if (
+            stream_id not in self._tenants
+            and self.checkpoint_dir is not None
+            and self._read_manifest(stream_id) is not None
+        ):
+            return self.adopt(stream_id)
         return StreamHandle(self, self._tenant(stream_id))
 
     def streams(self) -> tuple:
@@ -393,6 +379,19 @@ class StreamEngine:
                 f"{', '.join(streaming_methods())} (offline methods cannot "
                 "back a stream; see repro.api.methods())"
             )
+        if self.checkpoint_dir is not None:
+            manifest = self._read_manifest(stream_id)
+            if manifest is not None:
+                # Checked before recovery opens a store, so a mismatch
+                # leaves the stream unregistered and on disk.
+                _check_config(
+                    stream_id,
+                    manifest["method"],
+                    manifest["window"],
+                    method,
+                    window,
+                )
+                return self._recover_tenant(manifest)
         metrics = None
         if self.metrics_registry is not None:
             metrics = resolve_metrics(
@@ -424,7 +423,7 @@ class StreamEngine:
         store = CheckpointStore(
             directory,
             keep=self.keep,
-            journal=self.journal,
+            journal=True,
             fault_plan=self.fault_plan,
         )
         manifest_path = os.path.join(directory, _MANIFEST)
@@ -434,6 +433,16 @@ class StreamEngine:
                 json.dump(tenant.manifest(), handle)
             os.replace(tmp, manifest_path)
         return store
+
+    def _read_manifest(self, stream_id: str) -> Optional[dict]:
+        """The stream's on-disk manifest, or ``None`` when it has none."""
+        path = os.path.join(
+            self.checkpoint_dir, _tenant_dirname(stream_id), _MANIFEST
+        )
+        if not os.path.isfile(path):
+            return None
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
 
     def _recover_existing(self) -> None:
         """Rebuild every manifested stream found under ``checkpoint_dir``.
@@ -508,16 +517,12 @@ class StreamEngine:
             tenant = self._tenants.get(stream_id)
             if tenant is not None:
                 return StreamHandle(self, tenant)
-            manifest_path = os.path.join(
-                self.checkpoint_dir, _tenant_dirname(stream_id), _MANIFEST
-            )
-            if not os.path.isfile(manifest_path):
+            manifest = self._read_manifest(stream_id)
+            if manifest is None:
                 raise InvalidParameterError(
                     f"no manifest for stream {stream_id!r} under "
                     f"{self.checkpoint_dir}"
                 )
-            with open(manifest_path, "r", encoding="utf-8") as handle:
-                manifest = json.load(handle)
             tenant = self._recover_tenant(manifest)
             self._tenants[stream_id] = tenant
         return StreamHandle(self, tenant)
@@ -525,29 +530,34 @@ class StreamEngine:
     def release(self, stream_id: str, *, checkpoint: bool = True) -> Optional[int]:
         """Drop a stream from this engine (the handoff donor side).
 
-        Waits for the stream's queued batches to apply (FIFO drain),
-        optionally snapshots, closes its checkpoint store, and removes
-        the tenant -- after which another engine may :meth:`adopt` the
+        Fences the stream against new appends, waits for its in-flight
+        appends to apply, optionally snapshots, closes its checkpoint
+        store, and removes the tenant -- after which another engine (or
+        a later :meth:`stream` / :meth:`handle` here) may recover the
         stream from the shared directory.  Returns the final snapshot
         generation (``None`` when not checkpointing or not durable).
 
-        The caller is responsible for fencing new appends first (the
-        cluster router gates the stream during handoff); an append that
-        races the release either lands before it (drained, checkpointed)
-        or fails with *unknown stream* after it -- never silently drops.
+        An append that races the release either was admitted before the
+        fence (it applies and is in the final snapshot) or fails with
+        *unknown stream* with nothing journaled -- never acked and lost.
         """
         tenant = self._tenant(stream_id)
         with tenant.idle:
-            while tenant.pending_items or tenant.scheduled:
+            tenant.released = True
+            while tenant.pending_items:
                 tenant.idle.wait()
-        with self._registry_lock:
-            self._tenants.pop(stream_id, None)
         generation = None
         with tenant.lock:
-            if tenant.store is not None:
+            store, tenant.store = tenant.store, None
+            if store is not None:
                 if checkpoint:
-                    generation = tenant.store.save(tenant.summary)
-                tenant.store.close()
+                    generation = store.save(tenant.summary)
+                store.close()
+        # Unregistered only once the store is closed: a re-created stream
+        # recovers from files that nothing else is writing.
+        with self._registry_lock:
+            if self._tenants.get(stream_id) is tenant:
+                del self._tenants[stream_id]
         return generation
 
     def checkpoint(self, stream_id: Optional[str] = None) -> dict:
@@ -559,21 +569,29 @@ class StreamEngine:
         """
         if stream_id is not None:
             tenant = self._tenant(stream_id)
-            if tenant.store is None:
+            if tenant.store is None and not tenant.released:
                 raise InvalidParameterError(
                     f"stream {stream_id!r} has no checkpoint store "
                     "(engine has no checkpoint_dir, or the stream was "
                     "attached)"
                 )
-            return {stream_id: self._snapshot(tenant)}
+            generation = self._snapshot(tenant)
+            if generation is None:
+                raise UnknownStreamError(f"stream {stream_id!r} was released")
+            return {stream_id: generation}
         out = {}
         for tenant in list(self._tenants.values()):
             if tenant.store is not None:
-                out[tenant.stream_id] = self._snapshot(tenant)
+                generation = self._snapshot(tenant)
+                if generation is not None:
+                    out[tenant.stream_id] = generation
         return out
 
-    def _snapshot(self, tenant: _Tenant) -> int:
+    def _snapshot(self, tenant: _Tenant) -> Optional[int]:
+        """Save one generation; ``None`` when release() closed the store."""
         with tenant.lock:
+            if tenant.store is None:
+                return None
             generation = tenant.store.save(tenant.summary)
             tenant.since_snapshot = 0
             tenant.last_generation = generation
@@ -590,17 +608,19 @@ class StreamEngine:
         and normalized once, by :func:`~repro.core.batch.validated_batch`,
         before anything is journaled or applied: values that are not
         finite real numbers raise
-        :class:`~repro.exceptions.InvalidParameterError` and the whole
+        :class:`~repro.exceptions.InvalidParameterError`, and on a stream
+        with a value universe a value outside ``[0, universe)`` raises
+        :class:`~repro.exceptions.DomainError`; either way the whole
         batch is rejected.  A float64 ndarray (e.g. the zero-copy view
         over a binary wire frame) reaches the vectorized batch kernels
         without conversion.
 
-        Synchronous engines (``workers=0``) apply inline before
-        returning; worker engines enqueue and return immediately (call
-        :meth:`drain` for a barrier).  Raises
-        :class:`~repro.exceptions.BackpressureError` when the stream's
-        queue bound would be exceeded -- nothing is enqueued in that
-        case.
+        The batch is journaled (fsynced) and applied before this
+        returns, so a returned count means "durable and visible".
+        Raises :class:`~repro.exceptions.BackpressureError` when other
+        appends to the stream are in flight and admitting this batch
+        would exceed ``max_pending`` -- nothing is journaled in that
+        case, so the same batch is safe to retry.
         """
         self._check_open()
         tenant = self._tenant(stream_id)
@@ -608,75 +628,52 @@ class StreamEngine:
         n = len(values)
         if n == 0:
             return 0
-        if not self._workers:
-            with tenant.qlock:
-                tenant.appends += 1
-            self._apply(tenant, values)
-            return n
+        if tenant.universe is not None:
+            outside = (values < 0) | (values >= tenant.universe)
+            if outside.any():
+                value = values[int(outside.argmax())].item()
+                raise DomainError(
+                    f"value {value!r} outside universe [0, {tenant.universe})"
+                )
         with tenant.qlock:
-            if tenant.pending_items + n > self.max_pending:
+            # Re-checked under the admission lock: close() and release()
+            # set their flags before they wait for in-flight appends.
+            self._check_open()
+            if tenant.released:
+                raise UnknownStreamError(f"stream {stream_id!r} was released")
+            if tenant.pending_items and (
+                tenant.pending_items + n > self.max_pending
+            ):
                 tenant.rejected += 1
                 raise BackpressureError(
-                    f"stream {stream_id!r} write queue is full: "
-                    f"{tenant.pending_items} item(s) pending + {n} offered "
+                    f"stream {stream_id!r} is at its in-flight bound: "
+                    f"{tenant.pending_items} item(s) in flight + {n} offered "
                     f"> max_pending={self.max_pending}; retry after the "
-                    "queue drains"
+                    "in-flight appends apply"
                 )
-            tenant.pending.append(values)
             tenant.pending_items += n
             tenant.appends += 1
-            if not tenant.scheduled:
-                tenant.scheduled = True
-                self._ready.put(tenant.stream_id)
+        try:
+            self._apply(tenant, values)
+        except Exception as exc:
+            # Recorded for stats(), then re-raised to the appender.
+            with tenant.qlock:
+                tenant.errors += 1
+                tenant.last_error = f"{type(exc).__name__}: {exc}"
+            raise
+        finally:
+            with tenant.qlock:
+                tenant.pending_items -= n
+                if not tenant.pending_items:
+                    tenant.idle.notify_all()
         return n
 
-    def _worker_loop(self) -> None:
-        while True:
-            item = self._ready.get()
-            if item is _SHUTDOWN:
-                return
-            tenant = self._tenants.get(item)
-            if tenant is not None:
-                self._drain_tenant(tenant)
-
-    def _drain_tenant(self, tenant: _Tenant) -> None:
-        """Apply the tenant's queued batches in FIFO order until empty.
-
-        Only the worker that flipped ``scheduled`` runs this, so a
-        stream's batches never apply concurrently or out of order.
-        """
-        while True:
-            with tenant.qlock:
-                if not tenant.pending:
-                    tenant.scheduled = False
-                    tenant.idle.notify_all()
-                    return
-                batch = tenant.pending.popleft()
-                more = bool(tenant.pending)
-            try:
-                # Group commit: while more batches are queued behind this
-                # one, defer the journal fsync -- the drain's final batch
-                # (or the next snapshot) commits the whole run with one
-                # fsync.  Frame/batch boundaries stay the durability
-                # boundaries the caller observes via drain().
-                self._apply(tenant, batch, sync=not more)
-            except ReproError as exc:
-                # A worker must survive a poisoned batch (e.g. a value
-                # outside the stream's universe): record and move on.
-                tenant.last_error = f"{type(exc).__name__}: {exc}"
-                self._errors += 1
-            finally:
-                with tenant.qlock:
-                    tenant.pending_items -= len(batch)
-                    if not tenant.pending_items:
-                        tenant.idle.notify_all()
-
-    def _apply(self, tenant: _Tenant, values, *, sync: bool = True) -> None:
+    def _apply(self, tenant: _Tenant, values) -> None:
         if self.apply_hook is not None:
             self.apply_hook(tenant.stream_id, len(values))
         with tenant.lock:
             if tenant.store is not None:
-                tenant.store.ingest(tenant.summary, values, sync=sync)
+                tenant.store.ingest(tenant.summary, values)
             else:
                 tenant.summary.extend(values)
             tenant.since_snapshot += len(values)
@@ -749,7 +746,7 @@ class StreamEngine:
         )
 
     def items_seen(self, stream_id: str) -> int:
-        """Items applied to the named stream so far (excludes queued)."""
+        """Items applied to the named stream so far (excludes in-flight)."""
         tenant = self._tenant(stream_id)
         with tenant.lock:
             return tenant.summary.items_seen
@@ -778,8 +775,7 @@ class StreamEngine:
             "rejected": sum(s["rejected"] for s in streams.values()),
             "queries": sum(s["queries"] for s in streams.values()),
             "checkpoints": sum(s["checkpoints"] for s in streams.values()),
-            "errors": self._errors,
-            "workers": len(self._workers),
+            "errors": sum(s["errors"] for s in streams.values()),
             "max_pending": self.max_pending,
             "durable": self.checkpoint_dir is not None,
         }
@@ -814,6 +810,7 @@ class StreamEngine:
             "last_generation": tenant.last_generation,
             "recovered": tenant.recovered,
             "attached": tenant.attached,
+            "errors": tenant.errors,
             "last_error": tenant.last_error,
         }
 
@@ -831,3 +828,13 @@ class StreamEngine:
     def _check_open(self) -> None:
         if self._closed:
             raise InvalidParameterError("engine is closed")
+
+
+def _check_config(stream_id, method, window, want_method, want_window) -> None:
+    """Raise unless an existing stream has the requested method/window."""
+    if method != want_method or window != want_window:
+        raise InvalidParameterError(
+            f"stream {stream_id!r} already exists with "
+            f"method={method!r} window={window}; "
+            f"requested method={want_method!r} window={want_window}"
+        )

@@ -9,9 +9,11 @@ the same failure see the same code:
 ===================  ===========  =========================================
 code                 HTTP status  meaning
 ===================  ===========  =========================================
-``backpressure``     429          stream queue bound hit; retry with
+``backpressure``     429          stream in-flight bound hit; retry with
                                   backoff (``Retry-After`` is sent)
 ``invalid``          400          bad parameters on a well-formed request
+                                  (a value outside the stream's universe
+                                  included)
 ``bad-request``      400          malformed request (JSON, framing, fields)
 ``unknown-stream``   404          the stream id is not registered
 ``unknown-op``       404          the operation / route does not exist
@@ -22,7 +24,7 @@ code                 HTTP status  meaning
 ===================  ===========  =========================================
 
 Retry semantics (``docs/REST.md``): ``backpressure`` rejected the batch
-*before* enqueueing anything, so the identical request is safe to
+*before* journaling anything, so the identical request is safe to
 retry.  ``unavailable`` is the one genuinely ambiguous answer -- an
 append may be fully applied or fully absent (batch atomicity), so the
 service **never auto-retries appends**; idempotent reads are retried
@@ -199,7 +201,10 @@ def classify_exception(exc: BaseException) -> tuple[str, str]:
         return str(exc.code), exc.message
     if isinstance(exc, _exc.UnknownStreamError):
         return ErrorCode.UNKNOWN_STREAM, str(exc)
-    if isinstance(exc, (_exc.InvalidParameterError, KeyError, TypeError)):
+    if isinstance(
+        exc,
+        (_exc.InvalidParameterError, _exc.DomainError, KeyError, TypeError),
+    ):
         return ErrorCode.INVALID, f"{type(exc).__name__}: {exc}"
     return ErrorCode.INTERNAL, f"{type(exc).__name__}: {exc}"
 

@@ -59,6 +59,7 @@ from urllib.parse import parse_qs, quote, unquote, urlencode
 
 import numpy as np
 
+from repro.exceptions import UnknownStreamError
 from repro.service import wire
 from repro.service.errors import (
     BadRequestError,
@@ -499,8 +500,11 @@ class HttpFrontend:
 
     def _stream_for(self, stream_id: str, config: dict):
         """Create-or-fetch a stream, mirroring the TCP server's rule."""
-        if not config and stream_id in self.engine.streams():
-            return self.engine.handle(stream_id)
+        if not config:
+            try:
+                return self.engine.handle(stream_id)
+            except UnknownStreamError:
+                pass
         return self.engine.stream(stream_id, **config)
 
     @staticmethod

@@ -21,7 +21,7 @@ travel only as ``OP_APPEND`` frames (the stream is created on first use
 from the frame's meta config).  Errors come back as ``OP_ERR`` frames
 ``{"ok": false, "error": <code>, "message": ...}`` with the codes of the
 unified taxonomy (:mod:`repro.service.errors`, shared with the HTTP
-facade): ``backpressure`` (queue bound hit -- back off and retry),
+facade): ``backpressure`` (in-flight bound hit -- back off and retry),
 ``invalid`` (bad parameters or values), ``unknown-stream``, ``empty``
 (query before any data), ``bad-request`` (malformed frame or request,
 missing fields, non-finite values), ``unknown-op``, ``unavailable``
@@ -44,7 +44,7 @@ import asyncio
 import threading
 from typing import Optional
 
-from repro.exceptions import ReproError
+from repro.exceptions import ReproError, UnknownStreamError
 from repro.service import wire
 from repro.service.engine import StreamEngine
 from repro.service.errors import BadRequestError, classify_exception
@@ -296,8 +296,11 @@ class StreamServer:
             for key in _STREAM_CONFIG_KEYS
             if request.get(key) is not None
         }
-        if not config and stream_id in self.engine.streams():
-            return self.engine.handle(stream_id)
+        if not config:
+            try:
+                return self.engine.handle(stream_id)
+            except UnknownStreamError:
+                pass
         return self.engine.stream(stream_id, **config)
 
     def _append_array(self, meta: dict, values) -> dict:

@@ -62,7 +62,7 @@ class StreamHandle:
 
     @property
     def items_seen(self) -> int:
-        """Items applied so far (queued-but-unapplied items excluded)."""
+        """Items applied so far (in-flight appends excluded)."""
         return self._engine.items_seen(self._tenant.stream_id)
 
     def append(self, values) -> int:
@@ -70,10 +70,11 @@ class StreamHandle:
 
         One unified signature (``docs/API.md``): a scalar, any sequence,
         or a numpy ndarray -- an ndarray goes straight to the vectorized
-        batch kernels with no per-item conversion.  May raise
-        :class:`~repro.exceptions.BackpressureError` on a worker engine
-        whose queue bound is hit -- nothing is ingested in that case, so
-        the same batch is safe to retry.
+        batch kernels with no per-item conversion.  The batch is
+        journaled (on a durable engine) and applied before this returns.
+        May raise :class:`~repro.exceptions.BackpressureError` when the
+        stream's in-flight bound is hit -- nothing is ingested in that
+        case, so the same batch is safe to retry.
         """
         return self._engine.append(self._tenant.stream_id, values)
 
@@ -134,7 +135,7 @@ class Session:
         keyword arguments, closed when the session closes.
     **engine_kwargs:
         Forwarded to :class:`StreamEngine` when creating a private one
-        (``checkpoint_dir=``, ``workers=``, ``metrics=`` ...).
+        (``checkpoint_dir=``, ``max_pending=``, ``metrics=`` ...).
     """
 
     def __init__(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -37,3 +38,31 @@ def dow_jones_2k() -> list[int]:
     from repro.data import dow_jones
 
     return dow_jones(2048)
+
+
+class _ApplyStall:
+    """A ``StreamEngine(apply_hook=...)`` that parks every apply.
+
+    ``entered`` is set once an append has been admitted and reached its
+    apply step; ``gate`` releases every parked apply.
+    """
+
+    def __init__(self) -> None:
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+
+    def __call__(self, stream_id, n_items) -> None:
+        self.entered.set()
+        self.gate.wait(10.0)
+
+
+@pytest.fixture
+def apply_stall():
+    """An apply hook that stalls appends until ``apply_stall.gate`` is set.
+
+    Backpressure tests hold a first append in flight with it and offer a
+    second one concurrently; the gate is always opened at teardown.
+    """
+    stall = _ApplyStall()
+    yield stall
+    stall.gate.set()

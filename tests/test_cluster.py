@@ -109,9 +109,9 @@ class TestHashRing:
 class TestAdoptRelease:
     def test_release_then_adopt_is_bit_exact(self, tmp_path):
         values = _dataset(2500)
-        donor = StreamEngine(checkpoint_dir=tmp_path, workers=0)
+        donor = StreamEngine(checkpoint_dir=tmp_path)
         taker = StreamEngine(
-            checkpoint_dir=tmp_path, workers=0, owns=lambda sid: False
+            checkpoint_dir=tmp_path, owns=lambda sid: False
         )
         try:
             handle = donor.stream(
@@ -136,7 +136,7 @@ class TestAdoptRelease:
         # the survivor must recover snapshot + journal tail from disk.
         values = _dataset(2200)
         donor = StreamEngine(
-            checkpoint_dir=tmp_path, checkpoint_every=500, workers=0
+            checkpoint_dir=tmp_path, checkpoint_every=500
         )
         handle = donor.stream("s", method="min-merge", buckets=16, universe=512)
         handle.append(values)
@@ -144,7 +144,7 @@ class TestAdoptRelease:
         expected = donor.histogram("s")
         # No close/release: drop the engine like a SIGKILL would.
         taker = StreamEngine(
-            checkpoint_dir=tmp_path, workers=0, owns=lambda sid: False
+            checkpoint_dir=tmp_path, owns=lambda sid: False
         )
         try:
             adopted = taker.adopt("s")
@@ -155,7 +155,7 @@ class TestAdoptRelease:
             donor.close()
 
     def test_adopt_unknown_stream_rejected(self, tmp_path):
-        engine = StreamEngine(checkpoint_dir=tmp_path, workers=0)
+        engine = StreamEngine(checkpoint_dir=tmp_path)
         try:
             with pytest.raises(InvalidParameterError):
                 engine.adopt("never-manifested")

@@ -245,19 +245,21 @@ class TestErrorMapping:
         status, _h, body = _raw(front, "GET", "/v1/cluster")
         assert status == 404 and body["error"] == "unknown-op"
 
-    def test_backpressure_is_429_with_retry_after(self):
-        gate = threading.Event()
-        engine = StreamEngine(
-            workers=1, max_pending=10, apply_hook=lambda s, n: gate.wait(10)
-        )
+    def test_backpressure_is_429_with_retry_after(self, apply_stall):
+        engine = StreamEngine(max_pending=10, apply_hook=apply_stall)
         front = HttpFrontend(engine).start_in_background()
-        try:
-            _raw(
+        held = threading.Thread(
+            target=_raw,
+            args=(
                 front,
                 "POST",
                 "/v1/streams/-/b:append?method=min-merge&buckets=4",
-                body=json.dumps(list(range(8))),
-            )
+            ),
+            kwargs={"body": json.dumps(list(range(8)))},
+        )
+        try:
+            held.start()
+            assert apply_stall.entered.wait(10.0)
             status, headers, body = _raw(
                 front,
                 "POST",
@@ -267,14 +269,85 @@ class TestErrorMapping:
             assert status == 429
             assert body["error"] == "backpressure"
             assert headers["Retry-After"] == "1"
+            apply_stall.gate.set()
+            held.join(10.0)
+            assert engine.items_seen("b") == 8
         finally:
-            gate.set()
+            apply_stall.gate.set()
             front.stop()
             engine.close()
 
 
 class TestAppendValidation:
     """Values and stream sizes are checked before anything is journaled."""
+
+    def test_out_of_universe_append_is_400_and_never_journaled(
+        self, tmp_path
+    ):
+        engine = StreamEngine(checkpoint_dir=tmp_path)
+        front = HttpFrontend(engine).start_in_background()
+        try:
+            status, _h, _b = _raw(
+                front,
+                "POST",
+                "/v1/streams/-/u:append?method=min-increment&buckets=4"
+                "&universe=16",
+                body=json.dumps([1, 5, 7]),
+            )
+            assert status == 200
+            before = engine.histogram("u")
+            status, _h, reply = _raw(
+                front, "POST", "/v1/streams/-/u:append", body="[3, 99]"
+            )
+            assert status == 400 and reply["error"] == "invalid"
+            assert "outside universe" in reply["message"]
+            assert engine.items_seen("u") == 3
+        finally:
+            front.stop()
+            engine.close()
+        with StreamEngine(checkpoint_dir=tmp_path) as fresh:
+            recovered = fresh.histogram("u")
+            assert recovered.segments == before.segments
+            assert recovered.error == before.error
+            assert fresh.items_seen("u") == 3
+
+    def test_configless_append_recovers_released_stream(self, tmp_path):
+        values = [(37 * i + (i * i) % 11) % 512 for i in range(110)]
+        oracle = summarize(values, 8, method="min-merge")
+        engine = StreamEngine(checkpoint_dir=tmp_path)
+        front = HttpFrontend(engine).start_in_background()
+        try:
+            status, _h, _b = _raw(
+                front,
+                "POST",
+                "/v1/streams/-/r:append?method=min-merge&buckets=8",
+                body=json.dumps(values[:100]),
+            )
+            assert status == 200
+            engine.release("r")
+            status, _h, reply = _raw(
+                front,
+                "POST",
+                "/v1/streams/-/r:append?method=min-increment",
+                body="[1]",
+            )
+            assert status == 400 and reply["error"] == "invalid"
+            assert "r" not in engine.streams()
+            status, _h, _b = _raw(
+                front,
+                "POST",
+                "/v1/streams/-/r:append",
+                body=json.dumps(values[100:]),
+            )
+            assert status == 200
+            live = engine.histogram("r")
+        finally:
+            front.stop()
+            engine.close()
+        assert live.meta.items_seen == 110
+        assert _segments(live) == _segments(oracle)
+        with StreamEngine(checkpoint_dir=tmp_path) as fresh:
+            assert _segments(fresh.histogram("r")) == _segments(oracle)
 
     @pytest.mark.parametrize(
         "body",
@@ -514,19 +587,25 @@ class TestSessionErgonomics:
         session.close()
         session.close()
 
-    def test_backpressure_error_typed_over_rest(self):
-        gate = threading.Event()
-        engine = StreamEngine(
-            workers=1, max_pending=10, apply_hook=lambda s, n: gate.wait(10)
-        )
+    def test_backpressure_error_typed_over_rest(self, apply_stall):
+        engine = StreamEngine(max_pending=10, apply_hook=apply_stall)
         front = HttpFrontend(engine).start_in_background()
+        url = f"http://127.0.0.1:{front.port}"
         try:
-            client = ServiceClient.from_url(f"http://127.0.0.1:{front.port}")
-            client.append("bp", list(range(8)), method="min-merge", buckets=4)
-            with pytest.raises(BackpressureError):
-                client.append("bp", list(range(8)))
-            client.close()
+            with ServiceClient.from_url(url) as first, \
+                    ServiceClient.from_url(url) as second:
+                held = threading.Thread(
+                    target=first.append,
+                    args=("bp", list(range(8))),
+                    kwargs={"method": "min-merge", "buckets": 4},
+                )
+                held.start()
+                assert apply_stall.entered.wait(10.0)
+                with pytest.raises(BackpressureError):
+                    second.append("bp", list(range(8)))
+                apply_stall.gate.set()
+                held.join(10.0)
         finally:
-            gate.set()
+            apply_stall.gate.set()
             front.stop()
             engine.close()

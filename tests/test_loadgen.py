@@ -199,7 +199,7 @@ class TestLiveLoad:
             LoadGenerator(port=1, transports=("binary", "json"))
 
     def test_small_run_verifies_against_oracle(self):
-        engine = StreamEngine(workers=0, max_pending=10_000_000)
+        engine = StreamEngine(max_pending=10_000_000)
         server = StreamServer(engine).start_in_background()
         front = HttpFrontend(engine).start_in_background()
         try:

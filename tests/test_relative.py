@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.error_ladder import MAX_LADDER_LEVELS
 from repro.exceptions import (
     DomainError,
     EmptySummaryError,
@@ -112,6 +115,19 @@ class TestLadder:
         levels = relative_error_ladder(0.5, UNIVERSE)
         for a, b in zip(levels[1:], levels[2:]):
             assert b == pytest.approx(1.5 * a)
+
+    def test_tiny_epsilon_raises_instead_of_looping(self):
+        # 1 + 1e-17 == 1.0 in floating point: a geometric loop would
+        # never reach the top, so the level count is checked first.
+        start = time.monotonic()
+        with pytest.raises(InvalidParameterError, match="ladder levels"):
+            relative_error_ladder(1e-17, UNIVERSE)
+        assert time.monotonic() - start < 1.0
+
+    def test_small_epsilon_within_cap_still_builds(self):
+        levels = relative_error_ladder(1e-4, 1 << 15, sanity=0.5)
+        assert len(levels) <= MAX_LADDER_LEVELS
+        assert levels[-2] < 1.0 <= levels[-1]
 
 
 class TestGreedyOptimality:

@@ -8,8 +8,11 @@ Covers the service contracts documented in ``docs/SERVICE.md``:
 * snapshot isolation -- under concurrent writers and readers, every
   histogram returned equals a serial replay of some whole prefix of the
   applied batches (never a half-applied batch);
-* admission control -- a full write queue raises
+* admission control -- an append beyond the in-flight bound raises
   :class:`BackpressureError` without ingesting anything;
+* ack means durable -- every acknowledged append survives a restart,
+  including appends to a stream re-created after ``release``, and a
+  batch with a value outside the stream's universe is rejected whole;
 * crash recovery -- a fault injected mid-checkpoint loses nothing: a new
   engine over the same directory resumes bit-exactly;
 * the binary TCP and REST fronts and their shared error codes.
@@ -19,7 +22,9 @@ import itertools
 import json
 import os
 import socket
+import sys
 import threading
+import time
 
 import pytest
 
@@ -29,9 +34,11 @@ from repro.core.min_merge import MinMergeHistogram
 from repro.core.pwl_min_merge import PwlMinMergeHistogram
 from repro.exceptions import (
     BackpressureError,
+    DomainError,
     EmptySummaryError,
     InjectedFaultError,
     InvalidParameterError,
+    UnknownStreamError,
 )
 from repro.observability.metrics import MetricsRegistry
 from repro.parallel import ParallelSummarizer
@@ -68,7 +75,7 @@ class TestEngineEquivalence:
         values = _dataset()
         oracle = summarize(values, 16, method=method)
 
-        engine = StreamEngine(checkpoint_dir=tmp_path, workers=2)
+        engine = StreamEngine(checkpoint_dir=tmp_path)
         handle = engine.stream(
             "t", method=method, buckets=16, universe=512
         )
@@ -82,7 +89,7 @@ class TestEngineEquivalence:
         engine.close()
 
         # Simulated restart: recover from snapshot + journal tail.
-        engine2 = StreamEngine(checkpoint_dir=tmp_path, workers=0)
+        engine2 = StreamEngine(checkpoint_dir=tmp_path)
         handle2 = engine2.stream(
             "t", method=method, buckets=16, universe=512
         )
@@ -127,9 +134,7 @@ class TestSnapshotIsolation:
         must equal a serial replay of some prefix of the applied batches
         (the journal records the exact apply order)."""
         n_writers, batches_per_writer, batch_len = 3, 8, 50
-        engine = StreamEngine(
-            checkpoint_dir=tmp_path, workers=2, journal=True
-        )
+        engine = StreamEngine(checkpoint_dir=tmp_path)
         handle = engine.stream(
             "s", method="min-merge", buckets=8, universe=1 << 10
         )
@@ -196,7 +201,7 @@ class TestSnapshotIsolation:
             assert _same_histogram(hist, replay.histogram())
 
     def test_queries_during_writes_never_crash(self):
-        with Session(workers=2) as session:
+        with Session() as session:
             handle = session.stream("q", method="min-increment", buckets=8)
             for chunk in range(20):
                 handle.append(list(range(chunk * 10, chunk * 10 + 200)))
@@ -208,26 +213,111 @@ class TestSnapshotIsolation:
 
 
 class TestBackpressure:
-    def test_full_queue_rejects_without_ingesting(self):
-        gate = threading.Event()
-
-        def hook(stream_id, n):
-            gate.wait(timeout=10.0)
-
-        engine = StreamEngine(workers=1, max_pending=100, apply_hook=hook)
+    def test_full_queue_rejects_without_ingesting(self, apply_stall):
+        """A second appender offered while the first is in flight is
+        refused once the two together exceed ``max_pending``."""
+        engine = StreamEngine(max_pending=100, apply_hook=apply_stall)
         handle = engine.stream("bp", method="min-merge", buckets=4)
-        accepted = [handle.append(list(range(40))) for _ in range(2)]
-        assert accepted == [40, 40]
-        # Third batch would make 120 pending > 100: rejected atomically.
-        with pytest.raises(BackpressureError, match="write queue is full"):
+        first = threading.Thread(
+            target=handle.append, args=(list(range(80)),)
+        )
+        first.start()
+        assert apply_stall.entered.wait(10.0)
+        assert handle.stats()["pending_items"] == 80
+        # 80 in flight + 40 offered > 100: rejected atomically.
+        with pytest.raises(BackpressureError, match="in-flight bound"):
             handle.append(list(range(40)))
         stats = handle.stats()
         assert stats["rejected"] == 1
-        assert stats["pending_items"] <= 100
-        gate.set()
+        assert stats["pending_items"] == 80
+        apply_stall.gate.set()
+        first.join(10.0)
         assert engine.drain(timeout=10.0)
-        # Only the accepted batches were ingested; the reject tore nothing.
+        # Only the admitted batch was ingested; the reject tore nothing.
         assert handle.items_seen == 80
+        assert handle.stats()["pending_items"] == 0
+        engine.close()
+
+    def test_batch_within_bound_waits_instead_of_failing(self, apply_stall):
+        engine = StreamEngine(max_pending=100, apply_hook=apply_stall)
+        handle = engine.stream("bp", method="min-merge", buckets=4)
+        threads = [
+            threading.Thread(target=handle.append, args=(list(range(40)),))
+            for _ in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        assert apply_stall.entered.wait(10.0)
+        apply_stall.gate.set()
+        for thread in threads:
+            thread.join(10.0)
+        assert handle.items_seen == 80
+        assert handle.stats()["rejected"] == 0
+        engine.close()
+
+    def test_idle_stream_admits_batch_larger_than_bound(self, tmp_path):
+        values = _dataset(500)
+        with StreamEngine(checkpoint_dir=tmp_path, max_pending=10) as engine:
+            handle = engine.stream("big", method="min-merge", buckets=8)
+            assert handle.append(values) == len(values)
+            assert _same_histogram(
+                handle.histogram(), summarize(values, 8, method="min-merge")
+            )
+
+    def test_failed_apply_releases_its_admission(self, tmp_path):
+        engine = StreamEngine(
+            checkpoint_dir=tmp_path,
+            max_pending=10,
+            fault_plan=FaultPlan.crash_at("journal.append", 1),
+        )
+        handle = engine.stream("f", method="min-merge", buckets=4)
+        with pytest.raises(InjectedFaultError):
+            handle.append(list(range(8)))
+        stats = handle.stats()
+        assert stats["pending_items"] == 0
+        assert stats["errors"] == 1
+        assert "InjectedFaultError" in stats["last_error"]
+        assert engine.drain(timeout=1.0)
+        engine.close()
+
+    def test_concurrent_appenders_keep_admission_exact(self):
+        """More appenders than cores on one stream, with a short switch
+        interval: a lost update to the in-flight count would leave it
+        non-zero or lose items."""
+        n_threads, batches, batch_len = 8, 40, 25
+        engine = StreamEngine(max_pending=3 * batch_len)
+        handle = engine.stream("st", method="min-merge", buckets=8)
+        rejected = []
+
+        def appender(seed):
+            for b in range(batches):
+                batch = [(seed * 31 + b + i) % 997 for i in range(batch_len)]
+                while True:
+                    try:
+                        handle.append(batch)
+                        break
+                    except BackpressureError:
+                        rejected.append(seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=appender, args=(t,))
+                for t in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        stats = handle.stats()
+        assert stats["pending_items"] == 0
+        assert stats["items_seen"] == n_threads * batches * batch_len
+        assert stats["appends"] == n_threads * batches
+        assert stats["rejected"] == len(rejected)
         engine.close()
 
     def test_zero_length_append_is_free(self):
@@ -293,6 +383,146 @@ class TestCrashRecovery:
         engine.close()
 
 
+class TestAckMeansDurable:
+    """An acknowledged append is journaled and applied; a refused one
+    leaves no trace, in memory or on disk."""
+
+    def test_out_of_universe_batch_is_rejected_whole(self, tmp_path):
+        with StreamEngine(checkpoint_dir=tmp_path) as engine:
+            handle = engine.stream(
+                "u", method="min-increment", buckets=4, universe=16
+            )
+            handle.append([1, 5, 7])
+            before = handle.histogram()
+            with pytest.raises(DomainError, match=r"99\.0 outside universe"):
+                handle.append([3, 99])
+            assert handle.items_seen == 3
+            assert handle.stats()["pending_items"] == 0
+        with StreamEngine(checkpoint_dir=tmp_path) as fresh:
+            assert _same_histogram(fresh.histogram("u"), before)
+            assert fresh.items_seen("u") == 3
+
+    def test_out_of_universe_append_is_invalid_over_binary(self, tmp_path):
+        engine = StreamEngine(checkpoint_dir=tmp_path)
+        server = StreamServer(engine).start_in_background()
+        try:
+            with ServiceClient(port=server.port) as client:
+                client.append(
+                    "u", [1, 5, 7], method="min-increment", buckets=4,
+                    universe=16,
+                )
+                before = client.query("u").histogram
+                with pytest.raises(ServiceError) as excinfo:
+                    client.append("u", [3, 99])
+                assert excinfo.value.code == "invalid"
+                assert client.stats("u")["items_seen"] == 3
+        finally:
+            server.stop()
+            engine.close()
+        with StreamEngine(checkpoint_dir=tmp_path) as fresh:
+            assert _same_histogram(fresh.histogram("u"), before)
+            assert fresh.items_seen("u") == 3
+
+    def test_stream_recreated_after_release_keeps_acked_appends(
+        self, tmp_path
+    ):
+        values = _dataset(110)
+        oracle = summarize(values, 8, method="min-merge")
+        engine = StreamEngine(checkpoint_dir=tmp_path)
+        server = StreamServer(engine).start_in_background()
+        try:
+            with ServiceClient(port=server.port) as client:
+                client.append("r", values[:100], method="min-merge", buckets=8)
+                client.transport.call({"op": "release", "stream": "r"})
+                client.append("r", values[100:], method="min-merge", buckets=8)
+                live = client.query("r").histogram
+        finally:
+            server.stop()
+            engine.close()
+        assert live.meta.items_seen == 110
+        assert _same_histogram(live, oracle)
+        with StreamEngine(checkpoint_dir=tmp_path) as fresh:
+            assert _same_histogram(fresh.histogram("r"), oracle)
+            assert fresh.items_seen("r") == 110
+
+    def test_recreate_after_release_checks_method(self, tmp_path):
+        with StreamEngine(checkpoint_dir=tmp_path) as engine:
+            engine.stream("r", method="min-merge", buckets=8).append([1, 2])
+            engine.release("r")
+            with pytest.raises(InvalidParameterError, match="already exists"):
+                engine.stream("r", method="min-increment", buckets=8)
+            # The refused request changed nothing ...
+            assert "r" not in engine.streams()
+            # ... and a config-less handle recovers it whatever its method.
+            assert engine.handle("r").method == "min-merge"
+            assert engine.items_seen("r") == 2
+
+    def test_configless_append_recovers_released_stream_over_binary(
+        self, tmp_path
+    ):
+        values = _dataset(110)
+        oracle = summarize(values, 8, method="min-merge")
+        engine = StreamEngine(checkpoint_dir=tmp_path)
+        server = StreamServer(engine).start_in_background()
+        try:
+            with ServiceClient(port=server.port) as client:
+                client.append("r", values[:100], method="min-merge", buckets=8)
+                client.transport.call({"op": "release", "stream": "r"})
+                with pytest.raises(ServiceError) as excinfo:
+                    client.append("r", [1], method="min-increment")
+                assert excinfo.value.code == "invalid"
+                assert "r" not in engine.streams()
+                client.append("r", values[100:])
+                live = client.query("r").histogram
+        finally:
+            server.stop()
+            engine.close()
+        assert live.meta.items_seen == 110
+        assert _same_histogram(live, oracle)
+        with StreamEngine(checkpoint_dir=tmp_path) as fresh:
+            assert _same_histogram(fresh.histogram("r"), oracle)
+
+    def test_append_offered_during_release_is_refused(
+        self, tmp_path, apply_stall
+    ):
+        """release() fences the stream before it waits: an append offered
+        while one is in flight fails with unknown stream and journals
+        nothing, and the in-flight one lands in the final snapshot."""
+        values = _dataset(60)
+        engine = StreamEngine(checkpoint_dir=tmp_path, apply_hook=apply_stall)
+        handle = engine.stream("r", method="min-merge", buckets=8)
+        acked = []
+        first = threading.Thread(
+            target=lambda: acked.append(handle.append(values[:50]))
+        )
+        first.start()
+        assert apply_stall.entered.wait(10.0)
+        generations = []
+        donor = threading.Thread(
+            target=lambda: generations.append(engine.release("r"))
+        )
+        donor.start()
+        deadline = time.monotonic() + 10.0
+        while not engine._tenants["r"].released:
+            assert time.monotonic() < deadline, "release never fenced"
+            time.sleep(0.001)
+        with pytest.raises(UnknownStreamError, match="released"):
+            handle.append(values[50:])
+        apply_stall.gate.set()
+        first.join(10.0)
+        donor.join(10.0)
+        assert acked == [50]
+        assert generations and generations[0] is not None
+        assert "r" not in engine.streams()
+        engine.close()
+        with StreamEngine(checkpoint_dir=tmp_path) as fresh:
+            assert fresh.items_seen("r") == 50
+            assert _same_histogram(
+                fresh.histogram("r"),
+                summarize(values[:50], 8, method="min-merge"),
+            )
+
+
 class TestEngineApi:
     def test_stream_is_idempotent_but_conflicts_raise(self):
         with Session() as session:
@@ -343,7 +573,14 @@ class TestEngineApi:
         assert engine.items_seen("s") == 1
         engine.close()
         with pytest.raises(TypeError):
-            Session(engine, workers=2)
+            Session(engine, metrics=True)
+
+    @pytest.mark.parametrize("kwarg", ["workers", "journal"])
+    def test_removed_engine_switches_raise_type_error(self, kwarg):
+        with pytest.raises(TypeError, match=kwarg):
+            StreamEngine(**{kwarg: 1})
+        with pytest.raises(TypeError, match=kwarg):
+            Session(**{kwarg: 1})
 
 
 class TestQueryCache:
@@ -443,7 +680,7 @@ class TestLegacyBackendField:
     def test_backend_config_key_is_ignored_over_both_transports(self):
         values = _dataset(1000)
         oracle = summarize(values, 8, method="min-merge")
-        with StreamEngine(workers=1) as engine:
+        with StreamEngine() as engine:
             server = StreamServer(engine).start_in_background()
             front = HttpFrontend(engine).start_in_background()
             try:
@@ -513,7 +750,7 @@ class TestWireProtocol:
 
     @pytest.fixture(params=["binary", "rest"])
     def service(self, request):
-        engine = StreamEngine(workers=1)
+        engine = StreamEngine()
         server = StreamServer(engine).start_in_background()
         front = HttpFrontend(engine).start_in_background()
         if request.param == "binary":
@@ -620,20 +857,25 @@ class TestWireProtocol:
         expected = "bad-request" if client.info.proto == 2 else "unknown-op"
         assert excinfo.value.code == expected
 
-    def test_wire_backpressure_code(self):
-        gate = threading.Event()
-        engine = StreamEngine(
-            workers=1, max_pending=10, apply_hook=lambda s, n: gate.wait(10)
-        )
+    def test_wire_backpressure_code(self, apply_stall):
+        engine = StreamEngine(max_pending=10, apply_hook=apply_stall)
         server = StreamServer(engine).start_in_background()
         try:
-            with ServiceClient(port=server.port) as client:
-                client.append("b", list(range(8)), method="min-merge",
-                              buckets=4)
+            with ServiceClient(port=server.port) as first, \
+                    ServiceClient(port=server.port) as second:
+                engine.stream("b", method="min-merge", buckets=4)
+                held = threading.Thread(
+                    target=first.append, args=("b", list(range(8)))
+                )
+                held.start()
+                assert apply_stall.entered.wait(10.0)
                 with pytest.raises(BackpressureError):
-                    client.append("b", list(range(8)))
+                    second.append("b", list(range(8)))
+                apply_stall.gate.set()
+                held.join(10.0)
+                assert engine.items_seen("b") == 8
         finally:
-            gate.set()
+            apply_stall.gate.set()
             server.stop()
             engine.close()
 

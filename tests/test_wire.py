@@ -175,7 +175,7 @@ class _FragmentingSocket:
 
 @pytest.fixture()
 def server():
-    engine = StreamEngine(workers=1)
+    engine = StreamEngine()
     srv = StreamServer(engine).start_in_background()
     yield srv
     srv.stop()
@@ -363,7 +363,7 @@ class TestInterleavedClients:
         one stream must build the exact summarize() histogram: ints
         below 2**53 are exact in float64 and bucket arithmetic is float
         throughout."""
-        engine = StreamEngine(workers=1)
+        engine = StreamEngine()
         srv = StreamServer(engine).start_in_background()
         values = _dataset(4000)
         try:
@@ -381,9 +381,6 @@ class TestInterleavedClients:
                         universe=512,
                     )
                     assert result.accepted == len(part)
-                    # Lockstep: drain before the other client appends,
-                    # so arrival order equals submission order.
-                    engine.drain()
                 hist = c2.query("mixed", drain=True).histogram
                 oracle = summarize(values, 8, method="min-merge")
                 assert hist.segments == oracle.segments
