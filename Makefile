@@ -48,8 +48,10 @@ bench-smoke:
 		--json BENCH_PR.json --min-speedup 2.0
 	$(PYTHON) benchmarks/bench_parallel_ingest.py --quick \
 		--json BENCH_PARALLEL.json --min-speedup 1.3
+	$(PYTHON) benchmarks/bench_durable_ingest.py --smoke \
+		--json BENCH_DURABLE.json
 	$(PYTHON) benchmarks/validate_bench_json.py \
-		BENCH_PR.json BENCH_PARALLEL.json
+		BENCH_PR.json BENCH_PARALLEL.json BENCH_DURABLE.json
 
 bench-parallel:
 	$(PYTHON) benchmarks/bench_parallel_ingest.py \
@@ -129,5 +131,5 @@ load-slo:
 validate-bench:
 	$(PYTHON) benchmarks/validate_bench_json.py --allow-missing \
 		BENCH_PR.json BENCH_PARALLEL.json BENCH_WIRE.json \
-		BENCH_SERVICE.json BENCH_LOAD.json \
+		BENCH_SERVICE.json BENCH_LOAD.json BENCH_DURABLE.json \
 		BENCH_SCENARIO.json BENCH_REST.json

@@ -117,6 +117,23 @@ SPECS = {
             "generated_unix",
         ],
     },
+    "BENCH_DURABLE.json": {
+        "required": [
+            "benchmark",
+            "items",
+            "batch",
+            "buckets",
+            "checkpoint_every",
+            "repeats",
+            "max_ratio",
+            "in_memory.cpu_s",
+            "in_memory.items_per_s",
+            "durable.cpu_s",
+            "durable.items_per_s",
+            "cpu_ratio",
+            "generated_unix",
+        ],
+    },
     "BENCH_PR.json": {"required": []},
     "BENCH_PARALLEL.json": {"required": []},
 }

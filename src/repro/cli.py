@@ -177,8 +177,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-pending", type=int, default=100_000,
         help="per-stream bound on items admitted but not yet applied; an "
         "append beyond it while others are in flight is refused with "
-        "backpressure (an idle stream admits a batch of any size; "
-        "single-process server)",
+        "backpressure (an idle stream admits a batch of any size; with "
+        "--workers, applied by every worker)",
     )
     serve.add_argument(
         "--workers", type=int, default=0,
@@ -503,6 +503,7 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         checkpoint_every=args.checkpoint_every,
+        max_pending=args.max_pending,
         http_port=args.http_port,
     )
     # SIGTERM must tear down the worker processes too, not orphan them.

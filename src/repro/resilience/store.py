@@ -17,8 +17,8 @@ payloads to a directory with the classic crash-consistency protocol:
    appends each batch to an append-only journal *before* feeding the
    summary, so :meth:`CheckpointStore.recover` = newest good snapshot +
    replay of the journal tail reproduces the uninterrupted run bit for bit.
-   After each snapshot the journal is compacted down to the tail still
-   needed by the *oldest retained* generation.
+   Each snapshot cuts a new journal segment, then deletes the segments
+   that even the *oldest retained* generation no longer needs.
 
 Fault injection: pass a :class:`~repro.resilience.FaultPlan` and every
 named ``snapshot.*`` / ``journal.*`` point in the protocol will consult it
@@ -34,14 +34,17 @@ import zlib
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.checkpoint import restore, state_dict
+from repro.core.batch import coerce_batch
 from repro.exceptions import (
     CheckpointCorruptionError,
     InjectedFaultError,
     InvalidParameterError,
 )
 from repro.resilience.faults import fire
-from repro.resilience.journal import ItemJournal
+from repro.resilience.journal import ItemJournal, fsync_directory, has_journal
 
 SNAPSHOT_VERSION = 1
 _FORMAT = "repro-checkpoint"
@@ -81,9 +84,9 @@ class CheckpointStore:
     journal:
         ``True`` journals every :meth:`ingest` batch; ``False`` disables
         journaling (recover then restarts from the snapshot alone);
-        ``"auto"`` (default) journals iff a journal file already exists --
-        the right mode for read-side tools like the CLI ``recover``
-        subcommand.
+        ``"auto"`` (default) journals iff journal segments (or a legacy
+        ``journal.log``, migrated on open) already exist -- the right mode
+        for read-side tools like the CLI ``recover`` subcommand.
     fault_plan:
         Optional :class:`~repro.resilience.FaultPlan` consulted at each
         named fault point (tests only).
@@ -103,11 +106,12 @@ class CheckpointStore:
         self.keep = keep
         self.fault_plan = fault_plan
         os.makedirs(self.directory, exist_ok=True)
-        journal_path = os.path.join(self.directory, "journal.log")
         if journal == "auto":
-            journal = os.path.exists(journal_path)
+            journal = has_journal(self.directory)
         self._journal = (
-            ItemJournal(journal_path, fault_plan=fault_plan) if journal else None
+            ItemJournal(self.directory, fault_plan=fault_plan)
+            if journal
+            else None
         )
         self.last_recovery: Optional[RecoveryReport] = None
 
@@ -126,12 +130,12 @@ class CheckpointStore:
         least everything the summary ingested.  With journaling off this
         is just ``summary.extend``.
 
-        ``values`` passes through to ``summary.extend`` unchanged when it
-        is sized (the zero-copy contract of the binary ingest path: an
-        ndarray reaches the vectorized kernels without conversion).
+        The batch is converted to a float64 array once (a float64 ndarray,
+        such as the binary ingest path's zero-copy view, is not copied),
+        and that same array goes to the journal and to the summary, so
+        replay feeds back exactly the values the summary saw.
         """
-        if not hasattr(values, "__len__"):
-            values = list(values)
+        values = np.asarray(coerce_batch(values), dtype=np.float64)
         if self._journal is not None:
             self._journal.append(values, start=summary.items_seen)
         summary.extend(values)
@@ -147,10 +151,10 @@ class CheckpointStore:
         Protocol (fault points in parentheses): write temp
         (``snapshot.tmp-write``), fsync temp (``snapshot.fsync``), rename
         (``snapshot.rename``), fsync directory (``snapshot.commit``),
-        prune stale generations (``snapshot.prune``) and compact the
-        journal.  Every journaled batch was fsynced by :meth:`ingest`, so
-        a visible snapshot never covers items the journal has not
-        durably recorded.
+        prune stale generations (``snapshot.prune``), cut a new journal
+        segment at the snapshot's ``items_seen`` and compact the journal.
+        Every journaled batch was fsynced by :meth:`ingest`, so a visible
+        snapshot never covers items the journal has not durably recorded.
         """
         plan = self.fault_plan
         state = state_dict(summary)
@@ -181,9 +185,10 @@ class CheckpointStore:
         fire(plan, "snapshot.rename")
         os.replace(tmp, final)
         fire(plan, "snapshot.commit")
-        self._fsync_directory()
+        fsync_directory(self.directory)
         self._prune()
         if self._journal is not None:
+            self._journal.cut(summary.items_seen)
             self._journal.compact(self._oldest_retained_items())
         return generation
 
@@ -324,16 +329,6 @@ class CheckpointStore:
             if smallest is None or items < smallest:
                 smallest = items
         return 0 if smallest is None else smallest
-
-    def _fsync_directory(self) -> None:
-        try:
-            fd = os.open(self.directory, os.O_RDONLY)
-        except OSError:  # pragma: no cover - non-POSIX platforms
-            return
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
 
     @staticmethod
     def _unlink(path) -> None:

@@ -335,12 +335,15 @@ class ScenarioRunner:
                         store.save(summary)
                 except InjectedFaultError:
                     crashed = True
+                finally:
+                    store.close()
                 fired.extend(plan.fired)
                 if crashed:
                     fresh = CheckpointStore(root, journal=True)
                     summary = fresh.recover(
                         factory=lambda: self._build(spec, method)
                     )
+                    fresh.close()
                     rest = run.values[summary.items_seen :].tolist()
                     if rest:
                         summary.extend(rest)

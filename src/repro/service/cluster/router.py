@@ -61,7 +61,12 @@ from repro.exceptions import InvalidParameterError
 from repro.service import wire
 from repro.service.client import ServiceClient
 from repro.service.cluster.ring import DEFAULT_REPLICAS, HashRing
-from repro.service.cluster.worker import TENANTS_DIR, port_file, tenants_dir
+from repro.service.cluster.worker import (
+    DEFAULT_MAX_PENDING,
+    TENANTS_DIR,
+    port_file,
+    tenants_dir,
+)
 from repro.service.errors import UnavailableError
 from repro.service.server import StreamServer
 
@@ -150,6 +155,9 @@ class ClusterRouter:
     checkpoint_every:
         Forwarded to each worker engine (periodic snapshots; the journal
         makes recovery exact regardless).
+    max_pending:
+        Forwarded to each worker engine: its per-stream bound on items
+        admitted but not yet applied (``StreamEngine(max_pending=)``).
     executor_workers:
         Front-side thread pool: the cap on concurrently in-flight
         backend requests (default 32).
@@ -170,6 +178,7 @@ class ClusterRouter:
         host: str = "127.0.0.1",
         port: int = 0,
         checkpoint_every: Optional[int] = None,
+        max_pending: int = DEFAULT_MAX_PENDING,
         replicas: int = DEFAULT_REPLICAS,
         executor_workers: int = 32,
         pool_size: int = 4,
@@ -184,6 +193,7 @@ class ClusterRouter:
         self._requested_port = port
         self._requested_http_port = http_port
         self.checkpoint_every = checkpoint_every
+        self.max_pending = max_pending
         self.replicas = replicas
         self.executor_workers = executor_workers
         self.pool_size = pool_size
@@ -324,6 +334,8 @@ class ClusterRouter:
             self.host,
             "--replicas",
             str(self.replicas),
+            "--max-pending",
+            str(self.max_pending),
         ]
         if self.checkpoint_every is not None:
             cmd += ["--checkpoint-every", str(self.checkpoint_every)]

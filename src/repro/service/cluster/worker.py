@@ -40,6 +40,9 @@ TENANTS_DIR = "tenants"
 #: Subdirectory where each worker publishes its bound port and pid.
 WORKERS_DIR = "workers"
 
+#: A worker engine's default per-stream in-flight bound (``--max-pending``).
+DEFAULT_MAX_PENDING = 1_000_000
+
 
 def tenants_dir(cluster_dir: str) -> str:
     """The shared per-stream checkpoint root of a cluster directory."""
@@ -59,7 +62,7 @@ def build_worker(
     host: str = "127.0.0.1",
     checkpoint_every: Optional[int] = None,
     replicas: int = DEFAULT_REPLICAS,
-    max_pending: int = 1_000_000,
+    max_pending: int = DEFAULT_MAX_PENDING,
     recover: bool = True,
 ) -> tuple[StreamEngine, StreamServer]:
     """Engine + (unstarted) server for one shard; shared by CLI and tests.
@@ -111,7 +114,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--checkpoint-every", type=int, default=None)
     parser.add_argument("--replicas", type=int, default=DEFAULT_REPLICAS)
-    parser.add_argument("--max-pending", type=int, default=1_000_000)
+    parser.add_argument(
+        "--max-pending", type=int, default=DEFAULT_MAX_PENDING
+    )
     parser.add_argument(
         "--no-recover",
         action="store_true",

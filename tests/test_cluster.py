@@ -192,6 +192,13 @@ class TestClusterRouter:
                 assert stats["cluster"]["deaths"] == 0
                 assert stats["stream_count"] == len(streams)
 
+    def test_workers_apply_the_configured_max_pending(self, tmp_path):
+        with ClusterRouter(tmp_path, workers=2, max_pending=1234) as router:
+            replies = router.fan_out({"op": "stats"})
+            assert sorted(replies) == ["w0", "w1"]
+            for reply in replies.values():
+                assert reply["stats"]["max_pending"] == 1234
+
     def test_handoff_preserves_stream_bit_exactly(self, tmp_path):
         values = _dataset(1800, seed=3)
         with ClusterRouter(tmp_path, workers=2) as router:

@@ -11,9 +11,15 @@ still reproduces the oracle exactly.
 
 from __future__ import annotations
 
+import glob
+import json
 import os
+import struct
 import tempfile
+import tracemalloc
+import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,12 +83,15 @@ def _crash_then_recover(name, fault, values, split, directory, *, keep=2):
         store.save(running)
     except InjectedFaultError:
         crashed = True
+    finally:
+        store.close()  # the "crashed" process's handles die with it
     assert crashed, f"fault {fault!r} never fired"
     assert plan.fired == [fault]
 
     # A fresh store models the restarted process; "auto" finds the journal.
     fresh = CheckpointStore(directory, keep=keep)
     recovered = fresh.recover(factory=lambda: _make(name))
+    fresh.close()
     rest = values[recovered.items_seen:]
     if rest:
         recovered.extend(rest)
@@ -120,6 +129,7 @@ class TestCrashMatrix:
         with pytest.raises(InjectedFaultError):
             store.ingest(running, values[:60])
             store.ingest(running, values[60:])
+        store.close()
 
         fresh = CheckpointStore(tmp_path)
         recovered = fresh.recover(factory=lambda: _make("min-merge"))
@@ -153,6 +163,7 @@ class TestCorruptionFallback:
         store.save(running)
         store.ingest(running, values[150:])
         store.save(running)
+        store.close()
         return store
 
     @pytest.mark.parametrize("corrupt", ["bit-flip", "torn"])
@@ -203,6 +214,7 @@ class TestCorruptionFallback:
         store.save(running)
         # A record claiming to start past what the snapshot covers.
         store.journal.append([1, 2, 3], start=10)
+        store.close()
         with pytest.raises(CheckpointCorruptionError):
             CheckpointStore(tmp_path).recover()
 
@@ -243,42 +255,288 @@ class TestCheckpointStore:
             CheckpointStore(tmp_path, keep=0)
 
 
+def _segments(directory):
+    return sorted(glob.glob(os.path.join(str(directory), "journal-*.seg")))
+
+
+def _read(path):
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def _replayed(journal):
+    """Replay as plain ``(start, [float, ...])`` pairs."""
+    return [(start, values.tolist()) for start, values in journal.replay()]
+
+
+def _legacy_record(start, values):
+    """One record of the retired JSON-lines journal, byte for byte."""
+    canonical = json.dumps(
+        {"start": start, "values": values}, sort_keys=True, separators=(",", ":")
+    )
+    record = {
+        "start": start,
+        "values": values,
+        "crc": zlib.crc32(canonical.encode("ascii")),
+    }
+    return (json.dumps(record, separators=(",", ":")) + "\n").encode("ascii")
+
+
 class TestItemJournal:
     def test_replay_round_trips_batches(self, tmp_path):
-        journal = ItemJournal(tmp_path / "journal.log")
+        journal = ItemJournal(tmp_path)
         journal.append([1.5, 2, 3], start=0)
         journal.append([4, 5], start=3)
-        assert list(journal.replay()) == [(0, [1.5, 2, 3]), (3, [4, 5])]
+        journal.close()
+        assert _replayed(journal) == [(0, [1.5, 2.0, 3.0]), (3, [4.0, 5.0])]
+        for _, values in journal.replay():
+            assert values.dtype == np.float64
+            assert not values.flags.writeable
+        assert [os.path.basename(p) for p in _segments(tmp_path)] == [
+            "journal-00000000000000000000.seg"
+        ]
 
     def test_torn_tail_is_ignored(self, tmp_path):
-        path = tmp_path / "journal.log"
-        journal = ItemJournal(path)
+        journal = ItemJournal(tmp_path)
         journal.append([1, 2], start=0)
         journal.append([3, 4], start=2)
+        journal.close()
+        (path,) = _segments(tmp_path)
         size = os.path.getsize(path)
         inject_torn_write(path, keep_fraction=(size - 4) / size)
-        replayed = list(journal.replay())
-        assert replayed == [(0, [1, 2])]
+        assert _replayed(journal) == [(0, [1.0, 2.0])]
         assert journal.ignored_tail_bytes() > 0
 
     def test_bit_flip_stops_replay_at_bad_record(self, tmp_path):
-        path = tmp_path / "journal.log"
-        journal = ItemJournal(path)
+        journal = ItemJournal(tmp_path)
         journal.append([1, 2], start=0)
+        (path,) = _segments(tmp_path)
         first_record = os.path.getsize(path)
         journal.append([3, 4], start=2)
+        journal.close()
         inject_bit_flip(path, offset=first_record + 12)
-        assert list(journal.replay()) == [(0, [1, 2])]
+        assert _replayed(journal) == [(0, [1.0, 2.0])]
+        assert journal.ignored_tail_bytes() > 0
 
     def test_compact_keeps_needed_tail(self, tmp_path):
-        journal = ItemJournal(tmp_path / "journal.log")
+        journal = ItemJournal(tmp_path)
         journal.append([0, 1, 2], start=0)
+        journal.cut(3)
         journal.append([3, 4, 5], start=3)
+        journal.cut(6)
         journal.append([6, 7], start=6)
-        journal.compact(5)  # record 2 straddles the cutoff: keep it
-        assert list(journal.replay()) == [(3, [3, 4, 5]), (6, [6, 7])]
-        journal.compact(8)
-        assert list(journal.replay()) == []
+        first = _segments(tmp_path)[0]
+        # Compaction reads nothing: garbage in a doomed segment is moot.
+        with open(first, "wb") as handle:
+            handle.write(b"garbage")
+        assert journal.compact(5) == 2  # segment 3 straddles the cutoff
+        assert _replayed(journal) == [(3, [3.0, 4.0, 5.0]), (6, [6.0, 7.0])]
+        # The active segment is never deleted, whatever min_start says.
+        assert journal.compact(8) == 1
+        assert _replayed(journal) == [(6, [6.0, 7.0])]
+        journal.close()
+
+    def test_append_after_torn_tail_lands_after_last_good_record(
+        self, tmp_path
+    ):
+        plan = FaultPlan.crash_at("journal.append", occurrence=2)
+        journal = ItemJournal(tmp_path, fault_plan=plan)
+        journal.append([1, 2], start=0)
+        with pytest.raises(InjectedFaultError):
+            journal.append([3, 4], start=2)
+        journal.close()
+        reopened = ItemJournal(tmp_path)
+        reopened.append([5, 6], start=2)  # truncates the torn tail first
+        reopened.close()
+        assert _replayed(reopened) == [(0, [1.0, 2.0]), (2, [5.0, 6.0])]
+        assert reopened.ignored_tail_bytes() == 0
+
+    def test_cut_starts_a_durable_segment_named_by_its_base(self, tmp_path):
+        journal = ItemJournal(tmp_path)
+        journal.append([1, 2], start=0)
+        journal.cut(2)
+        journal.cut(2)  # nothing appended since: no new segment
+        journal.append([3], start=2)
+        journal.close()
+        names = [os.path.basename(p) for p in _segments(tmp_path)]
+        assert names == [
+            "journal-00000000000000000000.seg",
+            "journal-00000000000000000002.seg",
+        ]
+        assert _replayed(journal) == [(0, [1.0, 2.0]), (2, [3.0])]
+
+    def test_truncated_sealed_segment_ends_replay(self, tmp_path):
+        journal = ItemJournal(tmp_path)
+        journal.append([1, 2], start=0)
+        first_end = os.path.getsize(_segments(tmp_path)[0])
+        journal.append([3, 4], start=2)
+        journal.cut(4)
+        journal.append([5], start=4)
+        journal.close()
+        # Cut exactly at a record boundary: every kept record is valid,
+        # but the sealed segment no longer reaches the next one's base.
+        with open(_segments(tmp_path)[0], "r+b") as handle:
+            handle.truncate(first_end)
+        assert _replayed(journal) == [(0, [1.0, 2.0])]
+        assert journal.ignored_tail_bytes() > 0
+
+    def test_huge_count_ends_replay_without_allocating(self, tmp_path):
+        journal = ItemJournal(tmp_path)
+        journal.append([1.0] * 8, start=0)
+        journal.close()
+        (path,) = _segments(tmp_path)
+        # Set the top bit of the first record's u32 count field.
+        inject_bit_flip(path, offset=8 + 8 + 3, bit=7)
+        tracemalloc.start()
+        try:
+            assert _replayed(journal) == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert journal.ignored_tail_bytes() == os.path.getsize(path) - 8
+
+    def test_forged_count_with_matching_crc_ends_replay(self, tmp_path):
+        # A record claiming 1000 values over the 8 the file holds, with a
+        # CRC that matches the bytes present: only the bounds check stops
+        # it from reaching np.frombuffer.
+        payload = np.arange(8, dtype="<f8").tobytes()
+        key = struct.pack("<QI", 0, 1000)
+        crc = zlib.crc32(payload, zlib.crc32(key))
+        path = tmp_path / "journal-00000000000000000000.seg"
+        path.write_bytes(
+            b"REPROJL\x01" + key + struct.pack("<I", crc) + payload
+        )
+        journal = ItemJournal(tmp_path)
+        assert _replayed(journal) == []
+        assert journal.ignored_tail_bytes() == 16 + len(payload)
+
+    def test_store_ingest_journals_the_values_the_summary_saw(
+        self, tmp_path
+    ):
+        store = CheckpointStore(tmp_path, journal=True)
+        running = _make("min-merge")
+        store.ingest(running, [1, 2, 3])
+        store.ingest(running, iter([4, 5]))
+        store.close()
+        assert _replayed(store.journal) == [
+            (0, [1.0, 2.0, 3.0]),
+            (3, [4.0, 5.0]),
+        ]
+        assert running.items_seen == 5
+
+
+class TestJournalFuzz:
+    """Damage anywhere in any segment: replay returns a clean prefix."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        batches=st.lists(
+            st.lists(st.floats(width=64), min_size=1, max_size=5),
+            min_size=2,
+            max_size=7,
+        ),
+        data=st.data(),
+    )
+    def test_replay_yields_a_prefix_under_any_damage(self, batches, data):
+        cuts = data.draw(
+            st.sets(st.integers(1, len(batches) - 1), min_size=1),
+            label="cut before batch",
+        )
+        with tempfile.TemporaryDirectory() as directory:
+            journal = ItemJournal(directory)
+            records, start = [], 0
+            for index, batch in enumerate(batches):
+                if index in cuts:
+                    journal.cut(start)
+                journal.append(batch, start=start)
+                records.append((start, np.asarray(batch, "<f8").tobytes()))
+                start += len(batch)
+            journal.close()
+            segments = _segments(directory)
+            assert len(segments) >= 2
+            target = data.draw(st.sampled_from(segments), label="segment")
+            size = os.path.getsize(target)
+            mode = data.draw(st.sampled_from(["truncate", "flip"]))
+            offset = data.draw(st.integers(0, size - 1), label="offset")
+            if mode == "truncate":
+                with open(target, "r+b") as handle:
+                    handle.truncate(offset)
+            else:
+                bit = data.draw(st.integers(0, 7), label="bit")
+                inject_bit_flip(target, offset=offset, bit=bit)
+            on_disk = sum(os.path.getsize(p) for p in segments)
+
+            reader = ItemJournal(directory)
+            tracemalloc.start()
+            try:
+                out = [(s, v.tobytes()) for s, v in reader.replay()]
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+
+            assert out == records[: len(out)]
+            assert peak <= on_disk + 16 * 1024
+            if len(out) < len(records):
+                # Only a truncation of the newest segment exactly at a
+                # record boundary leaves no unread bytes behind.
+                boundaries = {0, 8}
+                for s, payload in records:
+                    if s >= int(os.path.basename(segments[-1])[8:28]):
+                        boundaries.add(max(boundaries) + 16 + len(payload))
+                clean_cut = (
+                    mode == "truncate"
+                    and target == segments[-1]
+                    and offset in boundaries
+                )
+                if not clean_cut:
+                    assert reader.ignored_tail_bytes() > 0
+
+
+class TestLegacyJournalMigration:
+    """A JSON-lines ``journal.log`` is converted once, when opened."""
+
+    def _legacy_store(self, directory, values):
+        # What the JSON-journal code left behind: a snapshot at 150 and a
+        # journal whose compaction kept the records past it.
+        running = _make("min-merge")
+        running.extend(values[:150])
+        CheckpointStore(directory, journal=False).save(running)
+        with open(os.path.join(str(directory), "journal.log"), "wb") as fh:
+            for lo in range(100, len(values), 50):
+                fh.write(_legacy_record(lo, values[lo : lo + 50]))
+
+    def test_legacy_journal_recovers_bit_identically(self, tmp_path):
+        values = [float(v) for v in _values()]
+        self._legacy_store(tmp_path, values)
+        store = CheckpointStore(tmp_path)  # "auto" finds the legacy file
+        assert store.journal is not None
+        assert not os.path.exists(tmp_path / "journal.log")
+        assert len(_segments(tmp_path)) == 1
+        recovered = store.recover()
+        oracle = _make("min-merge")
+        oracle.extend(values)
+        assert json.dumps(state_dict(recovered), sort_keys=True) == json.dumps(
+            state_dict(oracle), sort_keys=True
+        )
+        assert store.last_recovery.replayed_items == len(values) - 150
+        store.close()
+
+    def test_crash_between_rename_and_unlink_migrates_again(self, tmp_path):
+        values = [float(v) for v in _values()]
+        self._legacy_store(tmp_path, values)
+        legacy = tmp_path / "journal.log"
+        kept = legacy.read_bytes()
+        CheckpointStore(tmp_path).close()
+        migrated = {p: _read(p) for p in _segments(tmp_path)}
+        legacy.write_bytes(kept)  # the unlink never became durable
+
+        store = CheckpointStore(tmp_path)
+        assert not legacy.exists()
+        assert {p: _read(p) for p in _segments(tmp_path)} == migrated
+        assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
+        assert store.recover().items_seen == len(values)
+        store.close()
 
 
 class TestFaultPlan:
@@ -457,6 +715,7 @@ class TestRecoverCli:
         store.ingest(running, _values(200)[:120])
         store.save(running)
         store.ingest(running, _values(200)[120:])
+        store.close()
 
         assert main(["recover", "--dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out

@@ -177,10 +177,11 @@ class TestSnapshotIsolation:
         assert captured, "readers captured no histograms"
 
         # Reconstruct the applied batch order from the journal.
-        journal_path = os.path.join(
-            os.fspath(tmp_path), _tenant_dirname("s"), "journal.log"
+        applied = list(
+            ItemJournal(
+                os.path.join(os.fspath(tmp_path), _tenant_dirname("s"))
+            ).replay()
         )
-        applied = list(ItemJournal(journal_path).replay())
         total = sum(len(v) for _, v in applied)
         assert total == n_writers * batches_per_writer * batch_len
         boundaries = {0}
@@ -340,12 +341,17 @@ class TestCrashRecovery:
             checkpoint_dir=tmp_path,
             fault_plan=FaultPlan.crash_at(point, 1),
         )
-        handle = engine.stream("c", method="min-merge", buckets=8)
-        handle.append(values[:1800])
-        with pytest.raises(InjectedFaultError):
-            handle.checkpoint()
-        # Abandon the "crashed" engine; a new one recovers everything
-        # from the journal (no snapshot ever committed cleanly).
+        try:
+            handle = engine.stream("c", method="min-merge", buckets=8)
+            handle.append(values[:1800])
+            with pytest.raises(InjectedFaultError):
+                handle.checkpoint()
+        finally:
+            # The "crashed" engine's open files die with its process;
+            # close() only releases them (it writes no snapshot).
+            engine.close()
+        # A new engine recovers everything from the journal (no snapshot
+        # ever committed cleanly).
         engine2 = StreamEngine(checkpoint_dir=tmp_path)
         handle2 = engine2.stream("c", method="min-merge", buckets=8)
         assert handle2.items_seen == 1800
